@@ -61,9 +61,6 @@ fn bench_spmv(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("spmv_into", n), |b| {
         b.iter(|| a.spmv_into(&x, &mut y).expect("spmv"))
     });
-    group.bench_function(BenchmarkId::new("par_spmv_into", n), |b| {
-        b.iter(|| a.par_spmv_into(&x, &mut y).expect("par_spmv"))
-    });
     group.finish();
 }
 

@@ -2,7 +2,9 @@
 //!
 //! Times the numeric hot-path kernels (dense LU factorization blocked vs the
 //! retained pre-optimization reference, band triangular solve, CSR SpMV, and
-//! cold-vs-warm `PreparedSystem::solve_many` serving) plus the **transport**
+//! cold-vs-warm `PreparedSystem::solve_many` serving), the **prepare** path
+//! (one sparse band factorization and a whole `PreparedSystem::prepare`, as
+//! interleaved samples with their spread), plus the **transport**
 //! layer (in-process vs TCP-loopback message round-trip latency, and the
 //! bytes each synchronous outer iteration puts on the links, from
 //! `LinkStats`), the driver-dispatch overhead, and the **serving** fleet
@@ -34,7 +36,7 @@ use msplit_dense::{BandLu, DenseLu};
 use msplit_direct::{SolveScratch, SolverKind, SparseLu, SparseRhs};
 use msplit_engine::EngineConfig;
 use msplit_serve::{ClientOptions, ServeClient, ServeConfig, SolveServer};
-use msplit_sparse::{generators, CsrMatrix, TripletBuilder};
+use msplit_sparse::{generators, BandPartition, CsrMatrix, TripletBuilder};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
@@ -93,6 +95,72 @@ impl KernelRecord {
     fn speedup(&self) -> Option<f64> {
         self.before_ms.map(|b| b / self.after_ms)
     }
+}
+
+/// One row of the prepare table: interleaved wall-clock samples of one
+/// measurement, reported as the median with its p10–p90 spread.
+struct PrepareRecord {
+    name: &'static str,
+    n: usize,
+    parts: usize,
+    samples_ms: Vec<f64>,
+    /// Floating-point operations of the factorizations one sample performs.
+    flops: u64,
+}
+
+impl PrepareRecord {
+    /// The `q`-quantile of the samples (nearest rank).
+    fn quantile_ms(&self, q: f64) -> f64 {
+        let mut sorted = self.samples_ms.clone();
+        sorted.sort_by(f64::total_cmp);
+        sorted[((sorted.len() - 1) as f64 * q).round() as usize]
+    }
+
+    fn gflops(&self) -> f64 {
+        self.flops as f64 / (self.quantile_ms(0.5) * 1e6)
+    }
+}
+
+/// Times the factorization of band 0 of `cage_like(n)` in 8 parts and a cold
+/// `PreparedSystem::prepare` of the whole system, alternating the two so
+/// both see the same phases of the host.
+fn prepare_table(check_mode: bool) -> Vec<PrepareRecord> {
+    let (n, samples) = if check_mode { (4_000, 3) } else { (20_000, 9) };
+    let parts = 8;
+    let a = generators::cage_like(n, 1);
+    let partition = BandPartition::uniform(n, parts).expect("partition");
+    let bands: Vec<CsrMatrix> = partition
+        .ranges()
+        .map(|r| a.sub_matrix(r.start, r.end, r.start, r.end))
+        .collect();
+    let flops = |b: &CsrMatrix| SparseLu::factorize(b).expect("factorize").stats().flops;
+    let config = MultisplittingConfig {
+        parts,
+        ..Default::default()
+    };
+    let mut band = PrepareRecord {
+        name: "sparse_lu_factorize",
+        n: bands[0].rows(),
+        parts,
+        samples_ms: Vec::with_capacity(samples),
+        flops: flops(&bands[0]),
+    };
+    let mut prepare = PrepareRecord {
+        name: "prepare",
+        n,
+        parts,
+        samples_ms: Vec::with_capacity(samples),
+        flops: bands.iter().map(flops).sum(),
+    };
+    for _ in 0..samples {
+        band.samples_ms.push(time_ms(1, || {
+            SparseLu::factorize(&bands[0]).expect("factorize")
+        }));
+        prepare.samples_ms.push(time_ms(1, || {
+            PreparedSystem::prepare(config.clone(), &a).expect("prepare")
+        }));
+    }
+    vec![band, prepare]
 }
 
 /// One row of the transport table (in-proc vs TCP loopback).
@@ -789,7 +857,7 @@ fn main() {
     let (trsv_before, trsv_after) = (trsv.before_ms.unwrap(), trsv.after_ms);
     records.push(trsv);
 
-    // --- CSR SpMV, sequential and row-parallel. ---
+    // --- CSR SpMV. ---
     let grid = if check_mode { 40 } else { 200 };
     let a = generators::poisson_2d(grid);
     let n = a.rows();
@@ -802,13 +870,9 @@ fn main() {
         before_ms: None,
         after_ms: seq_ms,
     });
-    let par_ms = time_ms(10, || a.par_spmv_into(&xv, &mut y).expect("par_spmv"));
-    records.push(KernelRecord {
-        name: "par_spmv_into",
-        n,
-        before_ms: None,
-        after_ms: par_ms,
-    });
+
+    // --- Prepare: one band factorization and the whole prepare. ---
+    let prepare_records = prepare_table(check_mode);
 
     // --- Cold vs warm batched serving through a prepared system. ---
     let serve_n = if check_mode { 300 } else { 1_200 };
@@ -962,6 +1026,29 @@ fn main() {
             r.name, r.n, before, r.after_ms, speedup, comma
         );
     }
+    json.push_str("  ],\n  \"prepare\": [\n");
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    for (i, r) in prepare_records.iter().enumerate() {
+        let comma = if i + 1 == prepare_records.len() {
+            ""
+        } else {
+            ","
+        };
+        let _ = writeln!(
+            json,
+            "    {{\"name\": \"{}\", \"n\": {}, \"parts\": {}, \"cores\": {cores}, \"samples\": {}, \
+             \"median_ms\": {:.3}, \"p10_ms\": {:.3}, \"p90_ms\": {:.3}, \"gflops\": {:.3}}}{}",
+            r.name,
+            r.n,
+            r.parts,
+            r.samples_ms.len(),
+            r.quantile_ms(0.5),
+            r.quantile_ms(0.1),
+            r.quantile_ms(0.9),
+            r.gflops(),
+            comma
+        );
+    }
     json.push_str("  ],\n  \"transport\": [\n");
     for (i, t) in transport_records.iter().enumerate() {
         let comma = if i + 1 == transport_records.len() {
@@ -1063,6 +1150,19 @@ fn main() {
                 r.after_ms
             );
         }
+    }
+    for r in &prepare_records {
+        println!(
+            "# {} n={} in {} parts: median {:.3} ms (p10 {:.3}, p90 {:.3}, {} samples), {:.3} GFlop/s",
+            r.name,
+            r.n,
+            r.parts,
+            r.quantile_ms(0.5),
+            r.quantile_ms(0.1),
+            r.quantile_ms(0.9),
+            r.samples_ms.len(),
+            r.gflops()
+        );
     }
     println!(
         "# transport: inproc rtt {inproc_rtt:.1} us vs tcp loopback rtt {tcp_rtt:.1} us; \

@@ -4,8 +4,10 @@
 //! of every diagonal block is paid **once**, while each outer iteration only
 //! performs cheap triangular solves.  [`PreparedSystem`] turns that
 //! observation into an API boundary: [`PreparedSystem::prepare`] performs the
-//! decomposition (Figure 1), factorizes every `ASub` in parallel and
-//! pre-computes the send-target maps of Algorithm 1; the resulting value can
+//! decomposition (Figure 1), factorizes every `ASub` concurrently (one scoped
+//! thread per available core, at most one per band; the factors do not
+//! depend on the thread count) and pre-computes the send-target maps of
+//! Algorithm 1; the resulting value can
 //! then serve any number of right-hand sides — one at a time with
 //! [`PreparedSystem::solve`], or as a batch marching in lockstep with
 //! [`PreparedSystem::solve_many`] — without ever touching the factorizations

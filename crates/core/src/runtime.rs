@@ -53,7 +53,7 @@ use msplit_comm::CommError;
 use msplit_direct::api::Factorization;
 use msplit_direct::DeltaOutcome;
 use msplit_sparse::{BandPartition, LocalBlocks};
-use rayon::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -2896,22 +2896,79 @@ struct BatchWorkerOutput {
     report: PartReport,
 }
 
-/// Factorizes every diagonal block of `blocks` in parallel (shared by the
-/// adapters and by [`crate::prepared::PreparedSystem`]).  Failures surface
-/// before any worker thread starts exchanging messages.
+/// Factorizes every diagonal block of `blocks` concurrently (shared by the
+/// adapters and by [`crate::prepared::PreparedSystem`]): one scoped worker
+/// per available core, at most one per band.  Failures surface before any
+/// worker thread starts exchanging messages.
 pub(crate) fn factorize_blocks(
     blocks: &[LocalBlocks],
     config: &MultisplittingConfig,
 ) -> Result<Vec<Arc<dyn Factorization>>, CoreError> {
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    factorize_blocks_on(blocks, config, cores)
+}
+
+/// [`factorize_blocks`] on at most `workers` threads.  Each band is factored
+/// on its own, so the factors are the same for any number of workers; they
+/// come back in band order, and when several bands fail the lowest-index
+/// band's error is the one returned.
+fn factorize_blocks_on(
+    blocks: &[LocalBlocks],
+    config: &MultisplittingConfig,
+    workers: usize,
+) -> Result<Vec<Arc<dyn Factorization>>, CoreError> {
     let solver = config.solver_kind.build();
-    blocks
-        .par_iter()
-        .map(|blk| {
-            solver
-                .factorize(&blk.a_sub)
-                .map(Arc::<dyn Factorization>::from)
-                .map_err(CoreError::Direct)
-        })
+    map_bands(blocks.len(), workers, |i| {
+        solver
+            .factorize(&blocks[i].a_sub)
+            .map(Arc::<dyn Factorization>::from)
+            .map_err(CoreError::Direct)
+    })
+    .into_iter()
+    .collect()
+}
+
+/// Runs `job(i)` for every `i < count` and returns the results in index
+/// order.  `min(workers, count)` scoped threads each pull the next index from
+/// a shared counter; with one worker or one job everything runs inline on
+/// the calling thread.  A panicking job's payload is re-raised on the caller.
+fn map_bands<T: Send>(count: usize, workers: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let workers = workers.min(count);
+    if workers <= 1 {
+        return (0..count).map(job).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let (next, job) = (&next, &job);
+    let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= count {
+                            return done;
+                        }
+                        done.push((i, job(i)));
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            match handle.join() {
+                Ok(done) => {
+                    for (i, out) in done {
+                        slots[i] = Some(out);
+                    }
+                }
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every band index was claimed"))
         .collect()
 }
 
@@ -3491,6 +3548,96 @@ mod tests {
     use msplit_comm::InProcTransport;
     use msplit_direct::SolverKind;
     use msplit_sparse::generators;
+
+    fn blocks_of(a: &msplit_sparse::CsrMatrix, parts: usize) -> Vec<LocalBlocks> {
+        let zero = vec![0.0; a.rows()];
+        Decomposition::uniform(a, &zero, parts, 0)
+            .unwrap()
+            .into_blocks()
+            .1
+    }
+
+    fn bits(x: Vec<f64>) -> Vec<u64> {
+        x.into_iter().map(f64::to_bits).collect()
+    }
+
+    #[test]
+    fn factorize_blocks_returns_bands_in_order_whatever_the_workers() {
+        let a = generators::cage_like(1203, 5);
+        let blocks = blocks_of(&a, 5);
+        let config = MultisplittingConfig::default();
+        let solver = config.solver_kind.build();
+        let one = factorize_blocks_on(&blocks, &config, 1).unwrap();
+        for workers in [1, 2, 3, 8] {
+            let many = factorize_blocks_on(&blocks, &config, workers).unwrap();
+            assert_eq!(many.len(), blocks.len());
+            for ((f, g), blk) in one.iter().zip(&many).zip(&blocks) {
+                let own = solver.factorize(&blk.a_sub).unwrap();
+                let b: Vec<f64> = (0..blk.size).map(|i| (i % 5) as f64 - 2.0).collect();
+                let x = bits(own.solve(&b).unwrap());
+                assert_eq!(bits(f.solve(&b).unwrap()), x);
+                assert_eq!(bits(g.solve(&b).unwrap()), x, "{workers} workers");
+                let (s, t) = (f.stats(), g.stats());
+                assert_eq!((s.flops, s.nnz_l, s.nnz_u), (t.flops, t.nnz_l, t.nnz_u));
+            }
+        }
+    }
+
+    #[test]
+    fn factorize_blocks_reports_the_lowest_singular_band_on_every_schedule() {
+        // Bands of 4 rows; band 1 is singular at its column 1, band 3 at its
+        // column 2.
+        let mut t = msplit_sparse::TripletBuilder::square(16);
+        for i in (0..16).filter(|&i| i != 5 && i != 14) {
+            t.push(i, i, 2.0).unwrap();
+        }
+        let blocks = blocks_of(&t.build_csr(), 4);
+        let config = MultisplittingConfig {
+            solver_kind: SolverKind::DenseLu,
+            ..Default::default()
+        };
+        for workers in 1..=4 {
+            for _ in 0..25 {
+                let err = factorize_blocks_on(&blocks, &config, workers).err();
+                assert!(
+                    matches!(
+                        err,
+                        Some(CoreError::Direct(msplit_direct::DirectError::Singular {
+                            column: 1
+                        }))
+                    ),
+                    "{workers} workers: {err:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn map_bands_propagates_a_worker_panic() {
+        let caught = std::panic::catch_unwind(|| {
+            map_bands(6, 3, |i| {
+                if i == 4 {
+                    panic!("band 4 failed");
+                }
+                i
+            })
+        });
+        assert_eq!(panic_message(&caught.unwrap_err()), "band 4 failed");
+    }
+
+    #[test]
+    fn map_bands_runs_inline_for_one_band_or_one_worker() {
+        let caller = std::thread::current().id();
+        let on = |count, workers| map_bands(count, workers, |i| (i, std::thread::current().id()));
+        assert_eq!(on(1, 8), vec![(0, caller)]);
+        assert!(on(4, 1).iter().all(|&(_, id)| id == caller));
+        let spread = on(4, 2);
+        assert_eq!(
+            spread.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
+            vec![0, 1, 2, 3]
+        );
+        assert!(spread.iter().all(|&(_, id)| id != caller));
+    }
 
     #[test]
     fn vote_board_requires_full_confirmation_waves() {

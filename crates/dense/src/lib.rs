@@ -18,8 +18,8 @@
 //! * [`norms`] — vector and matrix norms plus residual helpers.
 //!
 //! All kernels operate on `f64`.  They are written for clarity first, with
-//! cache-friendly loop orders and optional [`rayon`]-based parallelism for the
-//! larger kernels (`gemm`, blocked LU updates).
+//! cache-friendly loop orders.  They run on the calling thread; parallelism
+//! lives one level up, where `msplit-core` factors the bands concurrently.
 //!
 //! # Place in the runtime architecture
 //!

@@ -10,7 +10,33 @@
 //! 2. performs the numeric sparse triangular solve along that pattern,
 //! 3. selects the largest remaining entry as the pivot (partial pivoting with
 //!    an optional diagonal-preference threshold),
-//! 4. stores the resulting column of `L` (scaled by the pivot) and of `U`.
+//! 4. stores the resulting column of `L` (scaled by the pivot) and of `U`,
+//! 5. prunes earlier columns of `L` against the new one (below).
+//!
+//! # Symmetric pruning
+//!
+//! The depth-first reach of step 1 would otherwise walk about as many
+//! `L`-graph edges as the numeric phase performs multiply-adds.  Symmetric
+//! pruning (Eisenstat & Liu, SIAM J. Sci. Comput. 14(1), 1993, as in KLU)
+//! cuts that: once column `j` is stored, every earlier `L(:, k)` in `j`'s
+//! reach (a structural `U(k, j)`) that holds `j`'s pivot row is partitioned
+//! so its already-pivoted rows come first, and the search follows only that
+//! prefix (`lpend[k]`).  Its other rows are still reached, through the pivot
+//! row and `L(:, j)`, so every reach is the same set as without pruning.  The
+//! numeric update still applies each column whole, and the final
+//! renumbering sorts every column, so the storage and every solve path are
+//! unchanged.  What can change is the topological order the search returns,
+//! and with it the order of the floating-point updates to a row and the
+//! tie-breaking of pivots: on the diagonally dominant `cage_like` and
+//! `convection_diffusion` bands the factors are bitwise those of the
+//! unpruned search (pinned in the tests), in general they agree to rounding.
+//!
+//! **Completeness rule.** The argument needs `L(:, j)` to hold every
+//! not-yet-pivoted row of its reach.  An entry that cancels to exactly
+//! `0.0`, or falls under the drop tolerance, is not stored, so a column that
+//! lost one is never pruned against: the search would miss that row, and the
+//! update would leave a stale value in the work vector.  A debug assertion
+//! checks the work vector is clean after every column.
 //!
 //! The total cost is proportional to the number of floating-point operations
 //! actually performed — the property that makes Gilbert–Peierls the standard
@@ -207,6 +233,12 @@ impl SparseLu {
         let mut ws = ReachWorkspace::new(n);
         let mut x = vec![0.0f64; n];
         let mut flops: u64 = 0;
+        // Symmetric pruning state: the DFS follows `L(:, k)` only up to
+        // `lpend[k]`; `pruned[k]` once that prefix has been cut.
+        let mut lpend: Vec<usize> = Vec::with_capacity(n);
+        let mut pruned = vec![false; n];
+        // The non-pivotal tail of an L column being partitioned.
+        let mut tail: Vec<(usize, f64)> = Vec::new();
 
         // `j` is the elimination step, indexing several parallel structures
         // (`row_perm`, `pinv`, the factor columns) — an iterator over any one
@@ -214,16 +246,20 @@ impl SparseLu {
         #[allow(clippy::needless_range_loop)]
         for j in 0..n {
             let aj = col_perm.old_of(j);
+            let a_lo = acsc.col_ptr()[aj];
+            let a_hi = acsc.col_ptr()[aj + 1];
 
             // Scatter A(:, aj) into the dense work vector.
-            let seed_rows: Vec<usize> = acsc.col(aj).map(|(r, _)| r).collect();
-            for (r, v) in acsc.col(aj) {
+            let seed_rows = &acsc.row_indices()[a_lo..a_hi];
+            for (&r, &v) in seed_rows.iter().zip(&acsc.values()[a_lo..a_hi]) {
                 x[r] = v;
             }
 
-            // Symbolic + numeric sparse triangular solve along the reach.
-            let pattern = reach(&l, &pinv, &seed_rows, &mut ws);
-            for &row in &pattern {
+            // Symbolic + numeric sparse triangular solve along the reach.  The
+            // search follows the pruned columns; the update applies each
+            // column whole.
+            let pattern = reach(&l, &lpend, &pinv, seed_rows, &mut ws);
+            for &row in pattern {
                 let k = pinv[row];
                 if k == usize::MAX {
                     continue;
@@ -232,17 +268,18 @@ impl SparseLu {
                 if xi == 0.0 {
                     continue;
                 }
-                for (r, lv) in l.col(k) {
+                let (lo, hi) = (l.col_ptr[k], l.col_ptr[k + 1]);
+                for (&r, &lv) in l.rows[lo..hi].iter().zip(&l.values[lo..hi]) {
                     x[r] -= lv * xi;
-                    flops += 2;
                 }
+                flops += 2 * (hi - lo) as u64;
             }
 
             // Pivot selection among not-yet-pivoted rows of the pattern.
             let mut pivot_row = usize::MAX;
             let mut pivot_mag = 0.0f64;
             let mut diag_row = usize::MAX;
-            for &row in &pattern {
+            for &row in pattern {
                 if pinv[row] != usize::MAX {
                     continue;
                 }
@@ -256,10 +293,6 @@ impl SparseLu {
                 }
             }
             if pivot_row == usize::MAX || pivot_mag == 0.0 {
-                // Clean the work vector before reporting failure.
-                for &row in &pattern {
-                    x[row] = 0.0;
-                }
                 return Err(DirectError::Singular { column: j });
             }
             // Diagonal preference (threshold pivoting).
@@ -274,12 +307,14 @@ impl SparseLu {
             pinv[pivot_row] = j;
             row_perm[j] = pivot_row;
 
-            // Split the pattern into the U part (already pivoted rows) and the
-            // L part (remaining rows, scaled by the pivot).
+            // Split the pattern into the U part (already pivoted rows, by
+            // pivot step) and the L part (remaining rows, scaled by the
+            // pivot).  Both stay in reach order until the final renumbering.
+            // `complete` records whether L(:, j) keeps every non-pivotal row
+            // of the reach.
             let drop_tol = config.drop_tolerance * pivot_mag;
-            let mut u_entries: Vec<(usize, f64)> = Vec::new();
-            let mut l_entries: Vec<(usize, f64)> = Vec::new();
-            for &row in &pattern {
+            let mut complete = true;
+            for &row in pattern {
                 let v = x[row];
                 x[row] = 0.0;
                 let k = pinv[row];
@@ -288,32 +323,81 @@ impl SparseLu {
                 }
                 if k != usize::MAX && k < j {
                     if v != 0.0 && v.abs() > drop_tol {
-                        u_entries.push((k, v));
+                        u.rows.push(k);
+                        u.values.push(v);
                     }
                 } else if v != 0.0 {
                     let scaled = v / pivot;
                     flops += 1;
                     if scaled.abs() > drop_tol {
-                        l_entries.push((row, scaled));
+                        l.rows.push(row);
+                        l.values.push(scaled);
+                    } else {
+                        complete = false;
                     }
+                } else {
+                    complete = false;
                 }
             }
-            // U's diagonal entry goes last so the backward solve can read it
-            // directly.
-            u_entries.sort_unstable_by_key(|&(k, _)| k);
-            u_entries.push((j, pivot));
-            u.push_column(u_entries);
-            l.push_column(l_entries);
+            l.col_ptr.push(l.rows.len());
+            lpend.push(l.rows.len());
+            u.push_column([(j, pivot)]);
+
+            // Every write above went to a row of the reach, and the split
+            // zeroed the reach.
+            debug_assert!(
+                pattern
+                    .iter()
+                    .filter(|&&row| pinv[row] < j)
+                    .all(|&row| l.col_rows(pinv[row]).iter().all(|&r| x[r] == 0.0)),
+                "work vector not clean after column {j}"
+            );
+
+            // Symmetric pruning (Eisenstat & Liu): for each pivoted `k` in the
+            // reach whose column holds this step's pivot row, every
+            // not-yet-pivoted row of L(:, k) is in the reach too, so it is a
+            // row of L(:, j) — if L(:, j) dropped nothing, hence `complete`.
+            // The search can then reach those rows through the pivot row and
+            // stop following L(:, k) past its pivoted rows.
+            if complete {
+                for &row in pattern {
+                    let k = pinv[row];
+                    if k >= j || pruned[k] {
+                        continue;
+                    }
+                    let (lo, hi) = (l.col_ptr[k], l.col_ptr[k + 1]);
+                    if !l.rows[lo..hi].contains(&pivot_row) {
+                        continue;
+                    }
+                    // Stable partition: pivoted rows first, in their order.
+                    let mut head = lo;
+                    tail.clear();
+                    for p in lo..hi {
+                        let (r, v) = (l.rows[p], l.values[p]);
+                        if pinv[r] == usize::MAX {
+                            tail.push((r, v));
+                        } else {
+                            l.rows[head] = r;
+                            l.values[head] = v;
+                            head += 1;
+                        }
+                    }
+                    for (p, &(r, v)) in (head..hi).zip(&tail) {
+                        l.rows[p] = r;
+                        l.values[p] = v;
+                    }
+                    lpend[k] = head;
+                    pruned[k] = true;
+                }
+            }
         }
 
         // Renumber L's rows into pivot order so the triangular solves can use
-        // the factor directly.
-        let mut l_final = FactorColumns::with_capacity(n, l.nnz());
-        for j in 0..n {
-            let mut col: Vec<(usize, f64)> = l.col(j).map(|(r, v)| (pinv[r], v)).collect();
-            col.sort_unstable_by_key(|&(r, _)| r);
-            l_final.push_column(col);
-        }
+        // the factor directly, and sort both factors' columns by row.  U's
+        // diagonal entry, its largest row, ends up last, where the backward
+        // solve reads it.
+        let l_final = l.renumbered(n, |r| pinv[r]);
+        let u = u.renumbered(n, |k| k);
 
         // The dense backward solve computes `z[j] = y[j] / U[j,j]` for every
         // column, so a zero right-hand side yields `0.0 / diag` — a signed
@@ -666,7 +750,7 @@ impl SparseLu {
         // y[j] otherwise.
         for &i in reach.lower() {
             let mut acc = b[self.row_perm[i]];
-            let (cols, vals) = views.l_rows.row(i);
+            let (cols, vals) = views.l_rows.entries(i);
             for (&j, &v) in cols.iter().zip(vals) {
                 let yj = y[j];
                 if yj != 0.0 {
@@ -681,7 +765,7 @@ impl SparseLu {
         // scatters columns n-1 .. 0).
         for &r in reach.upper().iter().rev() {
             let mut acc = y[r];
-            let (cols, vals) = views.u_rows.row(r);
+            let (cols, vals) = views.u_rows.entries(r);
             for idx in (0..cols.len()).rev() {
                 let zk = z[cols[idx]];
                 if zk != 0.0 {
@@ -786,74 +870,34 @@ pub enum DeltaOutcome {
     },
 }
 
-/// Row-major view of one triangular factor: `row(i)` lists the stored
-/// columns of row `i` ascending.  Built once per factorization by a counting
-/// sort over the column-major storage.
-#[derive(Debug, Clone, Default)]
-struct FactorRows {
-    row_ptr: Vec<usize>,
-    cols: Vec<usize>,
-    vals: Vec<f64>,
-}
-
-impl FactorRows {
-    /// Transposes column-major storage, optionally dropping the trailing
-    /// (diagonal) entry of every column.  Scanning columns ascending keeps
-    /// each row's column list ascending.
-    fn build(cols: &FactorColumns, n: usize, skip_last: bool) -> FactorRows {
-        let mut counts = vec![0usize; n + 1];
-        let each = |f: &mut dyn FnMut(usize, usize, f64)| {
-            for j in 0..cols.num_cols() {
-                let lo = cols.col_ptr[j];
-                let hi = cols.col_ptr[j + 1] - usize::from(skip_last);
-                for idx in lo..hi {
-                    f(cols.rows[idx], j, cols.values[idx]);
-                }
-            }
-        };
-        each(&mut |r, _, _| counts[r + 1] += 1);
-        for i in 0..n {
-            counts[i + 1] += counts[i];
-        }
-        let nnz = counts[n];
-        let mut out = FactorRows {
-            row_ptr: counts.clone(),
-            cols: vec![0; nnz],
-            vals: vec![0.0; nnz],
-        };
-        let mut next = counts;
-        each(&mut |r, j, v| {
-            let at = next[r];
-            out.cols[at] = j;
-            out.vals[at] = v;
-            next[r] += 1;
-        });
-        out
-    }
-
-    /// The stored `(columns, values)` of row `i`, columns ascending.
-    fn row(&self, i: usize) -> (&[usize], &[f64]) {
-        let lo = self.row_ptr[i];
-        let hi = self.row_ptr[i + 1];
-        (&self.cols[lo..hi], &self.vals[lo..hi])
-    }
-}
-
 /// The row-major factor views of the delta path, plus the `U` diagonal
-/// pulled out for direct indexing.
+/// pulled out for direct indexing.  Each view is a factor transposed:
+/// `entries(i)` lists the stored columns of row `i`, ascending.
 #[derive(Debug, Clone)]
 struct DeltaViews {
-    l_rows: FactorRows,
-    u_rows: FactorRows,
+    l_rows: FactorColumns,
+    /// `U` without its diagonal.
+    u_rows: FactorColumns,
     diag: Vec<f64>,
 }
 
 impl DeltaViews {
     fn build(l: &FactorColumns, u: &FactorColumns, n: usize) -> DeltaViews {
         let diag = (0..n).map(|j| u.values[u.col_ptr[j + 1] - 1]).collect();
+        let mut strict_u = FactorColumns::with_capacity(n, u.nnz() - n);
+        for j in 0..n {
+            let (rows, values) = u.entries(j);
+            let off_diagonal = rows.len() - 1;
+            strict_u.push_column(
+                rows[..off_diagonal]
+                    .iter()
+                    .copied()
+                    .zip(values[..off_diagonal].iter().copied()),
+            );
+        }
         DeltaViews {
-            l_rows: FactorRows::build(l, n, false),
-            u_rows: FactorRows::build(u, n, true),
+            l_rows: l.transposed(n, |r| r),
+            u_rows: strict_u.transposed(n, |r| r),
             diag,
         }
     }
@@ -1082,5 +1126,75 @@ mod tests {
             lu.solve(&[1.0, 2.0]),
             Err(DirectError::DimensionMismatch { .. })
         ));
+    }
+
+    /// FNV-1a accumulation of 64-bit words.
+    fn fnv(hash: &mut u64, word: u64) {
+        for byte in word.to_le_bytes() {
+            *hash ^= u64::from(byte);
+            *hash = hash.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    /// Factors every band of `a` split uniformly into `parts` (no overlap,
+    /// default configuration, as `PreparedSystem` does) and digests the
+    /// stored factors, the pivot order and one solve per band.  Returns
+    /// `(factor digest, solve digest, [flops, nnz_l, nnz_u] summed)`.
+    fn band_digests(a: &CsrMatrix, parts: usize) -> (u64, u64, [u64; 3]) {
+        let partition = msplit_sparse::BandPartition::uniform(a.rows(), parts).unwrap();
+        let (mut factors, mut solves) = (0xcbf2_9ce4_8422_2325u64, 0xcbf2_9ce4_8422_2325u64);
+        let mut counts = [0u64; 3];
+        for range in partition.ranges() {
+            let band = a.sub_matrix(range.start, range.end, range.start, range.end);
+            let lu = SparseLu::factorize(&band).unwrap();
+            for f in [&lu.l, &lu.u] {
+                f.col_ptr
+                    .iter()
+                    .chain(&f.rows)
+                    .for_each(|&i| fnv(&mut factors, i as u64));
+                f.values.iter().for_each(|v| fnv(&mut factors, v.to_bits()));
+            }
+            lu.row_perm
+                .iter()
+                .for_each(|&r| fnv(&mut factors, r as u64));
+            let b: Vec<f64> = (0..band.rows()).map(|i| (i % 7) as f64 - 3.0).collect();
+            lu.solve(&b)
+                .unwrap()
+                .iter()
+                .for_each(|x| fnv(&mut solves, x.to_bits()));
+            let s = lu.stats();
+            counts[0] += s.flops;
+            counts[1] += s.nnz_l as u64;
+            counts[2] += s.nnz_u as u64;
+        }
+        (factors, solves, counts)
+    }
+
+    /// On these matrices symmetric pruning leaves the arithmetic untouched:
+    /// the factors, one solve and the counts are bitwise those of the kernel
+    /// before pruning, whose digests are pinned here.
+    #[test]
+    fn band_factors_match_the_pinned_digests() {
+        let cage = generators::cage_like(4096, 1);
+        assert_eq!(
+            band_digests(&cage, 4),
+            (
+                5176799122933008100,
+                13497299812700705786,
+                [47981684, 303884, 303884]
+            )
+        );
+        let cd = generators::convection_diffusion(&generators::ConvectionDiffusionConfig {
+            k: 64,
+            ..Default::default()
+        });
+        assert_eq!(
+            band_digests(&cd, 16),
+            (
+                11526901449283354053,
+                17607424803974512421,
+                [143904, 20192, 20192]
+            )
+        );
     }
 }

@@ -67,6 +67,49 @@ impl FactorColumns {
     pub fn col_rows(&self, j: usize) -> &[usize] {
         &self.rows[self.col_ptr[j]..self.col_ptr[j + 1]]
     }
+
+    /// The `(rows, values)` slices of column `j`.
+    pub fn entries(&self, j: usize) -> (&[usize], &[f64]) {
+        let (lo, hi) = (self.col_ptr[j], self.col_ptr[j + 1]);
+        (&self.rows[lo..hi], &self.values[lo..hi])
+    }
+
+    /// The same columns over `n_rows` rows, with row `r` renamed
+    /// `row_map(r)` and each column's entries sorted by the new row index.
+    /// `row_map` must be injective on every column.
+    pub fn renumbered(&self, n_rows: usize, row_map: impl Fn(usize) -> usize) -> FactorColumns {
+        self.transposed(n_rows, row_map)
+            .transposed(self.num_cols(), |j| j)
+    }
+
+    /// The transpose over `n_rows` rows, with row `r` renamed `row_map(r)`:
+    /// column `i` of the result lists the columns of `self` that store row
+    /// `i`, in ascending order.  A counting sort, `O(nnz + n_rows)`.
+    pub fn transposed(&self, n_rows: usize, row_map: impl Fn(usize) -> usize) -> FactorColumns {
+        let mut col_ptr = vec![0usize; n_rows + 1];
+        for &r in &self.rows {
+            col_ptr[row_map(r) + 1] += 1;
+        }
+        for i in 0..n_rows {
+            col_ptr[i + 1] += col_ptr[i];
+        }
+        let mut next = col_ptr[..n_rows].to_vec();
+        let mut rows = vec![0usize; self.nnz()];
+        let mut values = vec![0.0f64; self.nnz()];
+        for j in 0..self.num_cols() {
+            for p in self.col_ptr[j]..self.col_ptr[j + 1] {
+                let i = row_map(self.rows[p]);
+                rows[next[i]] = j;
+                values[next[i]] = self.values[p];
+                next[i] += 1;
+            }
+        }
+        FactorColumns {
+            col_ptr,
+            rows,
+            values,
+        }
+    }
 }
 
 /// Scratch space reused across [`reach`] calls to avoid per-column
@@ -79,6 +122,8 @@ pub struct ReachWorkspace {
     stamp: usize,
     /// Explicit DFS stack of `(row, next_child_offset)` pairs.
     dfs: Vec<(usize, usize)>,
+    /// The pattern of the last [`reach`] call, in topological order.
+    pattern: Vec<usize>,
 }
 
 impl ReachWorkspace {
@@ -88,27 +133,35 @@ impl ReachWorkspace {
             mark: vec![0; n],
             stamp: 0,
             dfs: Vec::with_capacity(n),
+            pattern: Vec::with_capacity(n),
         }
     }
 }
 
 /// Computes the set of rows reachable from `seed_rows` in the graph of the
 /// partially built factor `l`, where a row `i` that has already been pivoted
-/// (i.e. `pinv[i] != usize::MAX`) links to every row stored in `L`'s column
-/// `pinv[i]`.
+/// (i.e. `pinv[i] != usize::MAX`) links to the rows stored in
+/// `l.rows[l.col_ptr[pinv[i]]..lpend[pinv[i]]]`.
+///
+/// `lpend[k]` ends the part of `L(:, k)` the search follows: `l.col_ptr[k+1]`
+/// for the whole column, less when symmetric pruning has shown the rest to
+/// be reachable through another column (see [`crate::gplu`]).  Passing
+/// `&l.col_ptr[1..]` follows every stored edge.
 ///
 /// The result is returned in **topological order**: for every edge `i → r`,
 /// row `i` appears before row `r`.  The numeric phase can therefore apply the
-/// updates in a single forward pass over the returned list.
-pub fn reach(
+/// updates in a single forward pass over the returned list, which lives in
+/// `ws` until the next call.
+pub fn reach<'w>(
     l: &FactorColumns,
+    lpend: &[usize],
     pinv: &[usize],
     seed_rows: &[usize],
-    ws: &mut ReachWorkspace,
-) -> Vec<usize> {
+    ws: &'w mut ReachWorkspace,
+) -> &'w [usize] {
     ws.stamp += 1;
     let stamp = ws.stamp;
-    let mut postorder: Vec<usize> = Vec::new();
+    ws.pattern.clear();
 
     for &seed in seed_rows {
         if ws.mark[seed] == stamp {
@@ -122,7 +175,7 @@ pub fn reach(
             let children: &[usize] = if col == usize::MAX {
                 &[]
             } else {
-                l.col_rows(col)
+                &l.rows[l.col_ptr[col]..lpend[col]]
             };
             if *child < children.len() {
                 let next = children[*child];
@@ -132,7 +185,7 @@ pub fn reach(
                     ws.dfs.push((next, 0));
                 }
             } else {
-                postorder.push(row);
+                ws.pattern.push(row);
                 ws.dfs.pop();
             }
         }
@@ -140,8 +193,8 @@ pub fn reach(
 
     // Post-order finishes children before parents; reversing yields a
     // topological order (parents before children).
-    postorder.reverse();
-    postorder
+    ws.pattern.reverse();
+    &ws.pattern
 }
 
 #[cfg(test)]
@@ -162,11 +215,24 @@ mod tests {
     }
 
     #[test]
+    fn renumbered_maps_rows_and_sorts_each_column() {
+        let mut f = FactorColumns::with_capacity(2, 4);
+        f.push_column([(0, 1.0), (2, 2.0), (1, 3.0)]);
+        f.push_column([(2, 4.0)]);
+        // Rows 0, 1, 2 become 2, 0, 1.
+        let map = [2, 0, 1];
+        let g = f.renumbered(3, |r| map[r]);
+        assert_eq!(g.col_ptr, f.col_ptr);
+        assert_eq!(g.col(0).collect::<Vec<_>>(), [(0, 3.0), (1, 2.0), (2, 1.0)]);
+        assert_eq!(g.col(1).collect::<Vec<_>>(), [(1, 4.0)]);
+    }
+
+    #[test]
     fn reach_without_pivoted_rows_is_just_the_seeds() {
         let l = FactorColumns::with_capacity(0, 0);
         let pinv = vec![usize::MAX; 4];
         let mut ws = ReachWorkspace::new(4);
-        let r = reach(&l, &pinv, &[2, 0], &mut ws);
+        let r = reach(&l, &l.col_ptr[1..], &pinv, &[2, 0], &mut ws);
         assert_eq!(r.len(), 2);
         assert!(r.contains(&2) && r.contains(&0));
     }
@@ -180,7 +246,7 @@ mod tests {
         let mut pinv = vec![usize::MAX; 3];
         pinv[0] = 0;
         let mut ws = ReachWorkspace::new(3);
-        let r = reach(&l, &pinv, &[0], &mut ws);
+        let r = reach(&l, &l.col_ptr[1..], &pinv, &[0], &mut ws);
         // Row 0 must come before rows 1 and 2 it updates.
         assert_eq!(r[0], 0);
         assert_eq!(r.len(), 3);
@@ -197,7 +263,7 @@ mod tests {
         pinv[0] = 0;
         pinv[1] = 1;
         let mut ws = ReachWorkspace::new(3);
-        let r = reach(&l, &pinv, &[0], &mut ws);
+        let r = reach(&l, &l.col_ptr[1..], &pinv, &[0], &mut ws);
         assert_eq!(r, vec![0, 1, 2]);
     }
 
@@ -208,7 +274,7 @@ mod tests {
         let mut pinv = vec![usize::MAX; 3];
         pinv[0] = 0;
         let mut ws = ReachWorkspace::new(3);
-        let r = reach(&l, &pinv, &[0, 2], &mut ws);
+        let r = reach(&l, &l.col_ptr[1..], &pinv, &[0, 2], &mut ws);
         assert_eq!(r.len(), 2);
         // topological: 0 before 2
         assert_eq!(r, vec![0, 2]);
@@ -219,8 +285,8 @@ mod tests {
         let l = FactorColumns::with_capacity(0, 0);
         let pinv = vec![usize::MAX; 3];
         let mut ws = ReachWorkspace::new(3);
-        let first = reach(&l, &pinv, &[1], &mut ws);
-        let second = reach(&l, &pinv, &[1, 2], &mut ws);
+        let first = reach(&l, &l.col_ptr[1..], &pinv, &[1], &mut ws).to_vec();
+        let second = reach(&l, &l.col_ptr[1..], &pinv, &[1, 2], &mut ws);
         assert_eq!(first, vec![1]);
         assert_eq!(second.len(), 2);
     }

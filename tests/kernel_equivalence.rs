@@ -50,28 +50,6 @@ proptest! {
         prop_assert_eq!(xb, xr);
     }
 
-    // The row-parallel SpMV chunks rows but accumulates every row with the
-    // same inlined dot product in the same order: bitwise equality with the
-    // sequential kernel, below and above the parallel-dispatch threshold.
-    #[test]
-    fn par_spmv_matches_spmv_bitwise(
-        k in 4usize..64,
-        x_seed in 0u64..100,
-    ) {
-        // poisson_2d(k) has k^2 rows and ~5 k^2 stored entries, crossing
-        // PAR_SPMV_MIN_NNZ for the larger k.
-        let a = generators::poisson_2d(k);
-        let n = a.rows();
-        let x: Vec<f64> = (0..n)
-            .map(|i| (((i as u64).wrapping_mul(31) + x_seed) % 17) as f64 * 0.37 - 2.0)
-            .collect();
-        let mut y_seq = vec![0.0; n];
-        let mut y_par = vec![f64::NAN; n];
-        a.spmv_into(&x, &mut y_seq).unwrap();
-        a.par_spmv_into(&x, &mut y_par).unwrap();
-        prop_assert_eq!(y_seq, y_par);
-    }
-
     // In-place solves through the Factorization trait must equal the
     // allocating entry points for every solver kind (this is the path the
     // drivers run every outer iteration).

