@@ -15,35 +15,29 @@
 //!   channel transport and a delay-modelling wrapper,
 //! * [`tcp`] — the [`tcp::TcpTransport`] per-rank socket endpoint, and the
 //!   [`tcp::LoopbackMesh`] that runs the unchanged threaded drivers over
-//!   real sockets,
-//! * [`communicator::Communicator`] — the MPI-like per-rank handle (send,
-//!   receive, barrier, allreduce),
-//! * [`convergence`] — local and global convergence detection for both the
-//!   synchronous (allreduce-based) and asynchronous (shared-board,
-//!   confirmation-window) modes, following the centralized \[2\] and
-//!   decentralized \[4\] schemes referenced by the paper.
+//!   real sockets.
+//!
+//! Convergence detection is not a layer of its own: the centralized \[2\]
+//! and decentralized \[4\] schemes referenced by the paper are message
+//! protocols over this vocabulary (convergence votes, vote aggregates,
+//! stability summaries, convergence notices), implemented as the
+//! convergence policies of `msplit_core::runtime`.
 //!
 //! # Place in the runtime architecture
 //!
 //! In the engine/policy/adapter architecture documented at the top of
 //! `msplit-core` (`crates/core/src/lib.rs`), this crate is the bottom box:
 //! every driver funnels its traffic through a `RankLink` over a
-//! [`transport::Transport`] from here, the [`message::Message`] enum is the
-//! complete protocol vocabulary (data slices, convergence votes, halts,
+//! [`transport::Transport`] from here, and the [`message::Message`] enum is
+//! the complete protocol vocabulary (data slices, convergence votes, halts,
 //! heartbeats, reshape notices and speed reports for the fault-tolerance
-//! layer of `docs/fault-tolerance.md`), and [`convergence`] supplies the
-//! vote-window bookkeeping the convergence policies persist across
-//! checkpoints.
+//! layer of `docs/fault-tolerance.md`).
 
-pub mod communicator;
-pub mod convergence;
 pub mod message;
 pub mod tcp;
 pub mod transport;
 pub mod wire;
 
-pub use communicator::{CommGroup, Communicator};
-pub use convergence::{ConvergenceBoard, LocalConvergence, ResidualTracker};
 pub use message::{Message, RejectCode};
 pub use tcp::{BoundTcpTransport, LinkDelay, LoopbackMesh, TcpOptions, TcpTransport};
 pub use transport::{DelayedTransport, InProcTransport, LinkStats, Transport};
@@ -68,7 +62,7 @@ impl std::fmt::Display for CommError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CommError::UnknownRank { rank, total } => {
-                write!(f, "rank {rank} out of range (communicator has {total})")
+                write!(f, "rank {rank} out of range (the world has {total})")
             }
             CommError::Disconnected { rank } => write!(f, "rank {rank} disconnected"),
             CommError::Timeout { rank } => write!(f, "receive on rank {rank} timed out"),

@@ -6,7 +6,7 @@
 //! [`msplit_comm::TcpTransport`] endpoint):
 //!
 //! * **synchronous** — [`crate::runtime::LockstepVotes`] +
-//!   [`crate::runtime::Lockstep`]: each iteration every rank sends its
+//!   [`crate::runtime::Progress::Lockstep`]: each iteration every rank sends its
 //!   [`Message::ConvergenceVote`] to rank 0 and then blocks until it has
 //!   both rank 0's decision for that iteration and the solution slices of
 //!   every peer it depends on; the vote wait *is* the barrier and the
@@ -14,7 +14,7 @@
 //!   bitwise-identical to the threaded driver's (which runs the very same
 //!   code over an in-process transport),
 //! * **asynchronous** — [`crate::runtime::ConfirmationWaves`] +
-//!   [`crate::runtime::FreeRunning`]: ranks free-run and send votes to
+//!   [`crate::runtime::Progress::FreeRunning`]: ranks free-run and send votes to
 //!   rank 0 on verdict changes; rank 0 runs a confirmation-wave
 //!   [`crate::runtime::VoteBoard`] and broadcasts
 //!   [`Message::GlobalConverged`] once every rank has re-confirmed its
@@ -29,11 +29,10 @@
 
 use crate::checkpoint::{self, Checkpointer};
 use crate::runtime::{
-    decentralized_policies, drive_with_hooks, free_running_policies, lockstep_policies,
-    tree_policies, ConvergencePolicy, DriveHooks, EventLog, FailurePolicy, IterationWorkspace,
+    drive_with_hooks, DriveHooks, EventLog, FailurePolicy, IterationWorkspace, Protocol,
     RankEngine, RankLink, ReshapeReason, SpeedHook,
 };
-use crate::solver::{ExecutionMode, MultisplittingConfig};
+use crate::solver::MultisplittingConfig;
 use crate::CoreError;
 #[allow(unused_imports)] // doc links
 use msplit_comm::message::Message;
@@ -239,96 +238,27 @@ pub fn run_rank(
             .map(|r| SpeedHook::new(r.report_every, r.drift_threshold)),
         columns: None,
     };
+    let (mut vote, mut conv, progress) =
+        Protocol::select(config.mode, options.detection, config.async_confirmations)?.stack(
+            rank,
+            world,
+            config.tolerance,
+            options.peer_timeout,
+            options.failure,
+        );
+    if let Some(state) = restored_vote {
+        vote.restore_state(state);
+    }
     let mut link = RankLink::new(transport.as_ref(), rank, send_targets, senders_to_me);
-    let run = match config.mode {
-        ExecutionMode::Synchronous => {
-            let (mut vote, mut conv, mut progress): (_, Box<dyn ConvergencePolicy>, _) =
-                match options.detection {
-                    DetectionProtocol::Default => {
-                        let (v, c, p) = lockstep_policies(
-                            rank,
-                            world,
-                            config.tolerance,
-                            options.peer_timeout,
-                            options.failure,
-                        );
-                        (v, Box::new(c), p)
-                    }
-                    DetectionProtocol::Tree { arity } => {
-                        let (v, c, p) = tree_policies(
-                            rank,
-                            world,
-                            arity,
-                            config.tolerance,
-                            options.peer_timeout,
-                            options.failure,
-                        );
-                        (v, Box::new(c), p)
-                    }
-                    DetectionProtocol::Decentralized { .. } => {
-                        return Err(CoreError::Distributed(format!(
-                            "rank {rank}: decentralized detection requires asynchronous mode"
-                        )));
-                    }
-                };
-            if let Some(state) = restored_vote {
-                use crate::runtime::LocalVote;
-                vote.restore_state(state);
-            }
-            drive_with_hooks(
-                &mut engine,
-                &mut link,
-                &mut vote,
-                conv.as_mut(),
-                &mut progress,
-                config.max_iterations,
-                &mut hooks,
-            )?
-        }
-        ExecutionMode::Asynchronous => {
-            let (mut vote, mut conv, mut progress): (_, Box<dyn ConvergencePolicy>, _) =
-                match options.detection {
-                    DetectionProtocol::Default => {
-                        let (v, c, p) = free_running_policies(
-                            rank,
-                            world,
-                            config.tolerance,
-                            config.async_confirmations,
-                            options.failure,
-                        );
-                        (v, Box::new(c), p)
-                    }
-                    DetectionProtocol::Decentralized { stability_period } => {
-                        let (v, c, p) = decentralized_policies(
-                            rank,
-                            world,
-                            config.tolerance,
-                            stability_period,
-                            options.failure,
-                        );
-                        (v, Box::new(c), p)
-                    }
-                    DetectionProtocol::Tree { .. } => {
-                        return Err(CoreError::Distributed(format!(
-                            "rank {rank}: tree vote aggregation requires synchronous mode"
-                        )));
-                    }
-                };
-            if let Some(state) = restored_vote {
-                use crate::runtime::LocalVote;
-                vote.restore_state(state);
-            }
-            drive_with_hooks(
-                &mut engine,
-                &mut link,
-                &mut vote,
-                conv.as_mut(),
-                &mut progress,
-                config.max_iterations,
-                &mut hooks,
-            )?
-        }
-    };
+    let run = drive_with_hooks(
+        &mut engine,
+        &mut link,
+        vote.as_mut(),
+        conv.as_mut(),
+        progress,
+        config.max_iterations,
+        &mut hooks,
+    )?;
     Ok(RankOutcome {
         rank,
         x_local: engine.x_local().to_vec(),
@@ -345,7 +275,7 @@ pub fn run_rank(
 mod tests {
     use super::*;
     use crate::decomposition::Decomposition;
-    use crate::solver::MultisplittingConfig;
+    use crate::solver::{ExecutionMode, MultisplittingConfig};
     use crate::weighting::WeightingScheme;
     use msplit_comm::InProcTransport;
     use msplit_direct::SolverKind;

@@ -37,33 +37,36 @@
 //!
 //! # Architecture: engine, policies, adapters
 //!
-//! Every driver in the workspace is an adapter over the same three-part
-//! runtime (see [`runtime`]):
+//! Every driver in the workspace runs the same resumable rank loop over the
+//! same three-part runtime (see [`runtime`]):
 //!
 //! ```text
 //!                  ┌────────────────────────────────────────────────┐
-//!                  │                 drive loop                     │
-//!                  │  collect → step → fan_out → vote → exchange    │
+//!                  │    RankLoop::poll(now) → Ready | Pending       │
+//!                  │  intake → step → fan_out → vote → exchange     │
 //!                  │            (+ checkpoint / speed hooks)        │
 //!                  └──────┬─────────────┬──────────────┬────────────┘
 //!                         │             │              │
 //!              ┌──────────▼───┐  ┌──────▼───────┐  ┌───▼──────────┐
-//!              │  RankEngine  │  │ Convergence/ │  │ FailurePolicy│
-//!              │ (pure state  │  │ Progress     │  │ FailFast /   │
-//!              │  machine,    │  │ policies:    │  │ HaltOnDeath /│
-//!              │  replayable, │  │ Lockstep or  │  │ Redistribute │
-//!              │  snapshot-   │  │ FreeRunning  │  │ (heartbeats) │
-//!              │  able)       │  │              │  │              │
+//!              │  RankEngine  │  │ Protocol::   │  │ FailurePolicy│
+//!              │ (pure state  │  │ stack():     │  │ FailFast /   │
+//!              │  machine,    │  │ LocalVote +  │  │ HaltOnDeath /│
+//!              │  replayable, │  │ Convergence- │  │ Redistribute │
+//!              │  snapshot-   │  │ Policy +     │  │ (heartbeats) │
+//!              │  able)       │  │ Progress     │  │              │
 //!              └──────┬───────┘  └──────┬───────┘  └───┬──────────┘
 //!                     │                 │              │
 //!              ┌──────▼─────────────────▼──────────────▼───────────┐
 //!              │ RankLink over a Transport (in-process or TCP)     │
 //!              └───────────────────────────────────────────────────┘
 //!
-//!   adapters: threaded sync / threaded batch / threaded async
-//!             (runtime::solve_threaded) and the multi-process
-//!             distributed runtime (distributed::run_rank, spawned
-//!             by launcher::Launcher + the msplit-worker binary)
+//!   callers: runtime::drive, which blocks in the transport between
+//!            polls, behind the threaded sync / batch / async adapters
+//!            (runtime::solve_threaded) and the multi-process runtime
+//!            (distributed::run_rank, spawned by launcher::Launcher +
+//!            the msplit-worker binary); scale::simulate_ranks, which
+//!            polls hundreds of loops on one thread against a virtual
+//!            clock
 //! ```
 //!
 //! Because the engine is pure (its only transitions are `ingest` and
@@ -82,12 +85,12 @@
 //!   and the extended fixed-point mapping of Section 3),
 //! * [`runtime`] — the unified per-rank runtime: the [`runtime::RankEngine`]
 //!   state machine of Algorithm 1 plus pluggable convergence
-//!   ([`runtime::ConvergencePolicy`]), progress
-//!   ([`runtime::ProgressPolicy`]) and failure ([`runtime::FailurePolicy`])
-//!   policies; every driver below is an adapter over it,
+//!   ([`runtime::ConvergencePolicy`]), progress ([`runtime::Progress`]) and
+//!   failure ([`runtime::FailurePolicy`]) policies, run by one resumable
+//!   loop ([`runtime::RankLoop`]); every driver below is an adapter over it,
 //! * [`scale`] — the in-process scale simulator ([`scale::simulate_ranks`]):
-//!   hundreds of production rank runtimes driven cooperatively in one
-//!   process, with message-load accounting, for protocol tests at
+//!   hundreds of production rank loops polled in one process against a
+//!   virtual clock, with message-load accounting, for protocol tests at
 //!   256–1024 ranks (`docs/scaling.md`),
 //! * [`checkpoint`] — versioned, fingerprint-pinned per-rank snapshots for
 //!   checkpoint/restart and elastic reshaping,

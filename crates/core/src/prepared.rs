@@ -18,9 +18,7 @@
 use crate::decomposition::Decomposition;
 use crate::driver_common::{compute_send_targets, IterationWorkspace};
 use crate::krylov::{self, KrylovWorkspace, SweepPreconditioner};
-use crate::solver::{
-    BatchSolveOutcome, ExecutionMode, Method, MultisplittingConfig, PartReport, SolveOutcome,
-};
+use crate::solver::{BatchSolveOutcome, Method, MultisplittingConfig, PartReport, SolveOutcome};
 use crate::{runtime, CoreError};
 use msplit_comm::transport::Transport;
 use msplit_direct::api::Factorization;
@@ -236,30 +234,17 @@ impl PreparedSystem {
             } => return self.solve_krylov(b, Some(restart), inner_sweeps, start),
         }
         let mut workspaces = self.acquire_workspaces();
-        let result = match self.config.mode {
-            ExecutionMode::Synchronous => runtime::run_sync(
-                &self.partition,
-                &self.blocks,
-                &self.factors,
-                &self.send_targets,
-                Some(b),
-                &self.config,
-                transport,
-                &mut workspaces,
-                start,
-            ),
-            ExecutionMode::Asynchronous => runtime::run_async(
-                &self.partition,
-                &self.blocks,
-                &self.factors,
-                &self.send_targets,
-                Some(b),
-                &self.config,
-                transport,
-                &mut workspaces,
-                start,
-            ),
-        };
+        let result = runtime::run_threaded(
+            &self.partition,
+            &self.blocks,
+            &self.factors,
+            &self.send_targets,
+            Some(b),
+            &self.config,
+            transport,
+            &mut workspaces,
+            start,
+        );
         self.release_workspaces(workspaces);
         result
     }
@@ -439,7 +424,7 @@ impl std::fmt::Debug for PreparedSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::MultisplittingSolver;
+    use crate::solver::{ExecutionMode, MultisplittingSolver};
     use crate::weighting::WeightingScheme;
     use msplit_direct::SolverKind;
     use msplit_sparse::generators::{self, DiagDominantConfig};

@@ -4,7 +4,8 @@
 //! Before this module existed the paper's Algorithm 1 lived in five
 //! near-copies (sequential reference, threaded sync, threaded batch, threaded
 //! async, and the distributed sync/async rank loops).  They are now all
-//! adapters over three orthogonal pieces:
+//! adapters over one resumable loop, [`RankLoop`], built from three
+//! orthogonal pieces:
 //!
 //! * [`RankEngine`] — the *pure* numeric state machine of one rank.  Its only
 //!   transitions are `ingest(Message)` (update the halo data) and `step()`
@@ -19,16 +20,19 @@
 //!   [`ConfirmationWaves`] (free-running confirmation-wave protocol over a
 //!   [`VoteBoard`]).  The local voting rule itself is a composable
 //!   [`LocalVote`] chain ([`IncrementVote`], [`StaleSweepGuard`]).
-//! * [`ProgressPolicy`] — when messages move: [`Lockstep`] (the
+//! * [`Progress`] — when messages move: [`Progress::Lockstep`] (the
 //!   barrier-equivalent wait for every dependency slice of the current
-//!   iteration plus the convergence decision) or [`FreeRunning`]
+//!   iteration plus the convergence decision) or [`Progress::FreeRunning`]
 //!   (drain-what-arrived, AIAC style).
 //!
-//! The threaded drivers pump the engine over an in-process transport (one
-//! thread per rank), the distributed runtime pumps the *same* engine over
-//! TCP; both therefore compute bitwise-identical lockstep iterates, which
-//! `tests/driver_equivalence.rs` asserts against the retained sequential
-//! reference.
+//! [`Protocol::stack`] is the one constructor of these pieces.
+//! [`RankLoop::poll`] never blocks and takes time from its caller: the
+//! threaded drivers and the distributed runtime wrap it in the blocking
+//! [`drive`] over an in-process or TCP transport, and the scale simulator
+//! ([`crate::scale`]) polls hundreds of loops on one thread against a
+//! virtual clock.  All of them therefore compute bitwise-identical lockstep
+//! iterates, which `tests/driver_equivalence.rs` asserts against the
+//! retained sequential reference.
 //!
 //! Failure handling is a policy too: [`FailurePolicy::HaltOnDeath`] probes
 //! silent peers with [`Message::Heartbeat`] during lockstep waits (and, since
@@ -40,13 +44,13 @@
 //! over the survivors and resume from the latest checkpoint
 //! ([`crate::checkpoint`]) instead of failing the job.
 
+use crate::distributed::DetectionProtocol;
 use crate::driver_common::increment_norm;
 use crate::solver::{
     BatchSolveOutcome, ExecutionMode, MultisplittingConfig, PartReport, SolveOutcome,
 };
 use crate::weighting::WeightingScheme;
 use crate::CoreError;
-use msplit_comm::convergence::{LocalConvergence, ResidualTracker};
 use msplit_comm::message::Message;
 use msplit_comm::transport::Transport;
 use msplit_comm::CommError;
@@ -58,9 +62,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 pub use crate::driver_common::{IterationWorkspace, NeighborData};
-pub use crate::scale::{simulate_ranks, Protocol, ScaleConfig, ScaleReport};
+pub use crate::scale::{simulate_ranks, ScaleConfig, ScaleReport};
 
-/// Poll granularity of blocking lockstep waits.
+/// Longest single wait of [`drive`] in the transport between two polls.
 const WAIT_SLICE: Duration = Duration::from_millis(100);
 
 /// How often (in iterations) a free-running rank re-sends an unchanged
@@ -81,12 +85,13 @@ const HALT_GRACE: Duration = Duration::from_millis(20);
 /// heartbeat probe observes the closed socket.
 const DEATH_GRACE: Duration = Duration::from_millis(250);
 
-/// Lockstep peer timeout of the threaded adapters.  The pre-runtime barrier
+/// Lockstep peer timeout of the threaded adapters and of the scale
+/// simulator.  The pre-runtime barrier
 /// waited indefinitely for slow (but live) peers, so this is deliberately
 /// generous — genuinely *dead* peers are caught within ~1 s by the
 /// [`FailurePolicy::HaltOnDeath`] heartbeat probes, which is the real guard;
 /// the timeout only backstops a livelock nothing else can detect.
-const THREADED_PEER_TIMEOUT: Duration = Duration::from_secs(3600);
+pub(crate) const THREADED_PEER_TIMEOUT: Duration = Duration::from_secs(3600);
 
 /// Idle backoff of a free-running rank that is locally stable and received
 /// no fresh data (avoids flooding the network with identical slices).
@@ -299,6 +304,14 @@ impl<'a> RankEngine<'a> {
     /// This engine's rank (= band index).
     pub fn rank(&self) -> usize {
         self.rank
+    }
+
+    /// Number of solution columns (1 for a single right-hand side).
+    fn ncols(&self) -> usize {
+        match self.shape {
+            EngineShape::Single => 1,
+            EngineShape::Batch(ncols) => ncols,
+        }
     }
 
     /// Outer iterations performed so far.
@@ -825,6 +838,89 @@ pub struct VoteState {
     pub last_increment: f64,
 }
 
+/// Tracks *local* convergence of one processor from the per-iteration
+/// increment `||x_new − x_old||_inf`.
+///
+/// The paper fixes the accuracy to `1e-8`; a processor is considered locally
+/// converged once its increment has stayed below the tolerance for
+/// `stable_iterations` consecutive iterations (one iteration suffices in the
+/// synchronous case, the asynchronous case uses a longer window to avoid
+/// premature termination while fresher dependency data is still in flight).
+#[derive(Debug, Clone)]
+pub struct ResidualTracker {
+    tolerance: f64,
+    stable_iterations: usize,
+    consecutive: usize,
+    last_increment: f64,
+}
+
+impl ResidualTracker {
+    /// Creates a tracker with the given tolerance and confirmation window.
+    pub fn new(tolerance: f64, stable_iterations: usize) -> Self {
+        ResidualTracker {
+            tolerance,
+            stable_iterations: stable_iterations.max(1),
+            consecutive: 0,
+            last_increment: f64::INFINITY,
+        }
+    }
+
+    /// Records the increment of one iteration and returns the local verdict.
+    pub fn record(&mut self, increment: f64) -> LocalConvergence {
+        self.last_increment = increment;
+        if increment <= self.tolerance {
+            self.consecutive += 1;
+        } else {
+            self.consecutive = 0;
+        }
+        if self.consecutive >= self.stable_iterations {
+            LocalConvergence::Converged
+        } else {
+            LocalConvergence::NotConverged
+        }
+    }
+
+    /// The most recent increment recorded.
+    pub fn last_increment(&self) -> f64 {
+        self.last_increment
+    }
+
+    /// The configured tolerance.
+    pub fn tolerance(&self) -> f64 {
+        self.tolerance
+    }
+
+    /// Resets the confirmation window (used when fresh dependency data makes
+    /// the local solution move again).
+    pub fn reset(&mut self) {
+        self.consecutive = 0;
+    }
+
+    /// Number of consecutive below-tolerance iterations observed so far —
+    /// the confirmation-window progress.  Exposed so a checkpoint can
+    /// persist the tracker mid-window and a resumed rank reproduces the
+    /// exact same convergence decision sequence.
+    pub fn consecutive(&self) -> usize {
+        self.consecutive
+    }
+
+    /// Restores the confirmation-window state saved by a checkpoint
+    /// ([`ResidualTracker::consecutive`] / [`ResidualTracker::last_increment`]).
+    pub fn restore(&mut self, consecutive: usize, last_increment: f64) {
+        self.consecutive = consecutive;
+        self.last_increment = last_increment;
+    }
+}
+
+/// Local convergence verdict of one processor for one iteration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LocalConvergence {
+    /// The local increment has been below tolerance long enough.
+    Converged,
+    /// Still iterating.
+    NotConverged,
+}
+
 /// Base vote: the iterate increment has stayed below tolerance for a
 /// configured window ([`ResidualTracker`]).
 pub struct IncrementVote {
@@ -1033,6 +1129,9 @@ pub struct RankLink<'a> {
     /// Latest observed per-rank step times in microseconds (0 = unknown),
     /// fed by [`Message::SpeedReport`] on rank 0.
     speeds: Vec<u64>,
+    /// What a blocking [`RankLink::wait`] took off the transport, handed to
+    /// the next [`RankLink::try_recv`].
+    stash: Option<Result<Message, CommError>>,
 }
 
 impl<'a> RankLink<'a> {
@@ -1053,6 +1152,7 @@ impl<'a> RankLink<'a> {
             dead: vec![false; world],
             pending_reshape: None,
             speeds: vec![0; world],
+            stash: None,
         }
     }
 
@@ -1198,14 +1298,25 @@ impl<'a> RankLink<'a> {
         Ok(())
     }
 
-    /// Non-blocking receive on this rank's inbox.
-    pub fn try_recv(&self) -> Result<Option<Message>, CommError> {
-        self.transport.try_recv(self.rank)
+    /// Non-blocking receive on this rank's inbox (what [`RankLink::wait`]
+    /// took off the transport comes first).
+    pub fn try_recv(&mut self) -> Result<Option<Message>, CommError> {
+        match self.stash.take() {
+            Some(received) => received.map(Some),
+            None => self.transport.try_recv(self.rank),
+        }
     }
 
-    /// Blocking receive with a timeout on this rank's inbox.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Message, CommError> {
-        self.transport.recv_timeout(self.rank, timeout)
+    /// Blocks up to `timeout` until a message (or a receive error) arrives
+    /// and keeps it for the next [`RankLink::try_recv`]; a timeout keeps
+    /// nothing.
+    pub fn wait(&mut self, timeout: Duration) {
+        if self.stash.is_none() {
+            match self.transport.recv_timeout(self.rank, timeout) {
+                Err(CommError::Timeout { .. }) => {}
+                received => self.stash = Some(received),
+            }
+        }
     }
 }
 
@@ -1689,7 +1800,7 @@ impl VoteBoard {
 /// the way out is already queued or in flight — so a disconnected peer is
 /// skipped rather than fatal, and [`Message::Halt`] handling is idempotent: a
 /// halt racing a convergence broadcast never turns a converged run into a
-/// failed one (see [`FreeRunning`]'s grace drain).
+/// failed one (see the grace drain of [`Progress::FreeRunning`]).
 pub struct ConfirmationWaves {
     rank: usize,
     world: usize,
@@ -1961,33 +2072,147 @@ impl ConvergencePolicy for DecentralizedWaves {
 }
 
 // ---------------------------------------------------------------------------
-// Progress policies
+// Policy stacks
 // ---------------------------------------------------------------------------
 
-/// When messages move between the transport and the engine.
-pub trait ProgressPolicy: Send {
-    /// Pre-step intake: deliver whatever inbound data the policy allows.
-    fn collect(
-        &mut self,
-        engine: &mut RankEngine,
-        link: &mut RankLink,
-        conv: &mut dyn ConvergencePolicy,
-    ) -> Result<Flow, CoreError>;
-
-    /// Post-step exchange: for lockstep, the barrier-equivalent wait for this
-    /// iteration's dependency slices and the convergence decision; for
-    /// free-running, the idle backoff.
-    fn exchange(
-        &mut self,
-        engine: &mut RankEngine,
-        link: &mut RankLink,
-        conv: &mut dyn ConvergencePolicy,
-        obs: &StepObservation,
-        vote: bool,
-    ) -> Result<Flow, CoreError>;
+/// Which convergence-detection protocol a rank runs — the key of the one
+/// policy-stack constructor, [`Protocol::stack`], behind the threaded
+/// adapters, [`crate::distributed::run_rank`] and the scale simulator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Protocol {
+    /// Flat centralized lockstep votes ([`LockstepVotes`]).
+    Lockstep,
+    /// Tree-aggregated lockstep votes ([`TreeVotes`]).
+    Tree {
+        /// Reduction-tree arity (clamped to at least 2).
+        arity: usize,
+    },
+    /// Free-running confirmation waves through rank 0 ([`ConfirmationWaves`]).
+    Waves {
+        /// Complete confirmation waves required to latch global convergence.
+        confirmations: u64,
+    },
+    /// Coordinator-free decentralized detection ([`DecentralizedWaves`]).
+    Decentralized {
+        /// Consecutive locally-converged iterations per rank's window.
+        stability_period: u64,
+    },
 }
 
-pub(crate) fn data_meta(msg: &Message) -> Option<(usize, u64)> {
+impl Protocol {
+    /// The protocol of a run in `mode` with the given detection scheme;
+    /// `confirmations` is the wave count of the asynchronous default.  A
+    /// scheme of the other mode's family is a configuration error.
+    pub fn select(
+        mode: ExecutionMode,
+        detection: DetectionProtocol,
+        confirmations: u64,
+    ) -> Result<Self, CoreError> {
+        match (mode, detection) {
+            (ExecutionMode::Synchronous, DetectionProtocol::Default) => Ok(Protocol::Lockstep),
+            (ExecutionMode::Synchronous, DetectionProtocol::Tree { arity }) => {
+                Ok(Protocol::Tree { arity })
+            }
+            (ExecutionMode::Asynchronous, DetectionProtocol::Default) => {
+                Ok(Protocol::Waves { confirmations })
+            }
+            (
+                ExecutionMode::Asynchronous,
+                DetectionProtocol::Decentralized { stability_period },
+            ) => Ok(Protocol::Decentralized { stability_period }),
+            (ExecutionMode::Synchronous, DetectionProtocol::Decentralized { .. }) => Err(
+                CoreError::Distributed("decentralized detection requires asynchronous mode".into()),
+            ),
+            (ExecutionMode::Asynchronous, DetectionProtocol::Tree { .. }) => Err(
+                CoreError::Distributed("tree vote aggregation requires synchronous mode".into()),
+            ),
+        }
+    }
+
+    /// Whether this protocol runs under the barrier-equivalent lockstep wait.
+    pub fn is_lockstep(self) -> bool {
+        matches!(self, Protocol::Lockstep | Protocol::Tree { .. })
+    }
+
+    /// Short stable label for reports and artifacts.
+    pub fn label(self) -> &'static str {
+        match self {
+            Protocol::Lockstep => "lockstep",
+            Protocol::Tree { .. } => "tree",
+            Protocol::Waves { .. } => "waves",
+            Protocol::Decentralized { .. } => "decentralized",
+        }
+    }
+
+    /// The policy stack of `rank`: its local vote, its convergence policy
+    /// and its progress mode.  The lockstep family votes through the
+    /// [`StaleSweepGuard`] over [`IncrementVote::lockstep`] and waits at a
+    /// barrier bounded by `peer_timeout`; the free-running family votes with
+    /// [`IncrementVote::free_running`].  `failure` decides what a detected
+    /// peer death does.  One constructor, so no two drivers can run the same
+    /// protocol with different policies — the bitwise transport-independence
+    /// of lockstep runs depends on it.
+    pub fn stack(
+        self,
+        rank: usize,
+        world: usize,
+        tolerance: f64,
+        peer_timeout: Duration,
+        failure: FailurePolicy,
+    ) -> (Box<dyn LocalVote>, Box<dyn ConvergencePolicy>, Progress) {
+        let conv: Box<dyn ConvergencePolicy> = match self {
+            Protocol::Lockstep => Box::new(LockstepVotes::new(rank, world, failure)),
+            Protocol::Tree { arity } => Box::new(TreeVotes::new(rank, world, arity, failure)),
+            Protocol::Waves { confirmations } => {
+                Box::new(ConfirmationWaves::new(rank, world, confirmations))
+            }
+            Protocol::Decentralized { stability_period } => {
+                Box::new(DecentralizedWaves::new(rank, world, stability_period))
+            }
+        };
+        if !self.is_lockstep() {
+            let vote = IncrementVote::free_running(tolerance);
+            return (Box::new(vote), conv, Progress::FreeRunning { failure });
+        }
+        let vote = StaleSweepGuard::new(IncrementVote::lockstep(tolerance), tolerance);
+        let progress = Progress::Lockstep {
+            peer_timeout,
+            failure,
+        };
+        (Box::new(vote), conv, progress)
+    }
+}
+
+/// When messages move between the transport and the engine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Progress {
+    /// Barrier-equivalent: after each step, wait for every dependency slice
+    /// of the iteration and for the convergence decision, at most
+    /// `peer_timeout`.
+    Lockstep {
+        /// Longest wait of one iteration.
+        peer_timeout: Duration,
+        /// Response to a peer death seen by a send or a heartbeat probe.
+        failure: FailurePolicy,
+    },
+    /// AIAC style: drain whatever arrived before each step, and back off
+    /// when locally stable with nothing new, so slow links delay *data
+    /// freshness* instead of blocking the computation.
+    FreeRunning {
+        /// Response to a peer death no convergence notice explains.
+        failure: FailurePolicy,
+    },
+}
+
+impl Progress {
+    fn failure(self) -> FailurePolicy {
+        match self {
+            Progress::Lockstep { failure, .. } | Progress::FreeRunning { failure } => failure,
+        }
+    }
+}
+
+fn data_meta(msg: &Message) -> Option<(usize, u64)> {
     match msg {
         Message::Solution {
             from, iteration, ..
@@ -1999,402 +2224,11 @@ pub(crate) fn data_meta(msg: &Message) -> Option<(usize, u64)> {
     }
 }
 
-/// Marks a pending dependency slice as delivered when its iteration stamp
-/// matches the current lockstep iteration.
-pub(crate) fn mark_slice(
-    senders: &[usize],
-    pending: &mut [bool],
-    from: usize,
-    iteration: u64,
-    current: u64,
-) {
-    if iteration == current {
-        if let Some(slot) = senders.iter().position(|&s| s == from) {
-            pending[slot] = false;
-        }
+fn reshape_reason(dead_rank: Option<usize>) -> ReshapeReason {
+    match dead_rank {
+        Some(r) => ReshapeReason::RankDeath(r),
+        None => ReshapeReason::SpeedDrift,
     }
-}
-
-/// Barrier-equivalent progress: after each step, wait until every dependency
-/// slice stamped with the current iteration has arrived and the convergence
-/// decision is known.  Slices stamped with a *future* iteration — a fast peer
-/// that already received the continue decision may deliver its next slice
-/// early — are parked until the wait of the iteration they belong to, which
-/// is what keeps the lockstep iterates identical over asynchronous-delivery
-/// transports (TCP).
-pub struct Lockstep {
-    peer_timeout: Duration,
-    failure: FailurePolicy,
-    deferred: Vec<Message>,
-}
-
-impl Lockstep {
-    /// Builds the policy with the given overall wait deadline per iteration
-    /// and failure response.
-    pub fn new(peer_timeout: Duration, failure: FailurePolicy) -> Self {
-        Lockstep {
-            peer_timeout,
-            failure,
-            deferred: Vec::new(),
-        }
-    }
-}
-
-impl ProgressPolicy for Lockstep {
-    fn collect(
-        &mut self,
-        _engine: &mut RankEngine,
-        _link: &mut RankLink,
-        _conv: &mut dyn ConvergencePolicy,
-    ) -> Result<Flow, CoreError> {
-        // All intake happens in the post-step wait.
-        Ok(Flow::Continue)
-    }
-
-    fn exchange(
-        &mut self,
-        engine: &mut RankEngine,
-        link: &mut RankLink,
-        conv: &mut dyn ConvergencePolicy,
-        obs: &StepObservation,
-        _vote: bool,
-    ) -> Result<Flow, CoreError> {
-        let iteration = obs.iteration;
-        let deadline = Instant::now() + self.peer_timeout;
-        let mut pending: Vec<bool> = vec![true; link.senders_to_me().len()];
-        for msg in std::mem::take(&mut self.deferred) {
-            if let Some((from, iter)) = data_meta(&msg) {
-                if iter > iteration {
-                    self.deferred.push(msg);
-                    continue;
-                }
-                mark_slice(link.senders_to_me(), &mut pending, from, iter, iteration);
-                engine.ingest(msg);
-            }
-        }
-        let mut last_probe = Instant::now();
-        loop {
-            let waiting_conv = conv.waiting(iteration);
-            let waiting_slices = pending.iter().any(|&p| p) && !conv.skip_pending_data();
-            if !waiting_conv && !waiting_slices {
-                break;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(CoreError::Distributed(format!(
-                    "rank {}: timed out waiting for lockstep traffic of iteration {iteration}",
-                    link.rank()
-                )));
-            }
-            match link.recv_timeout(WAIT_SLICE.min(deadline - now)) {
-                Ok(msg) => match data_meta(&msg) {
-                    Some((from, iter)) => {
-                        if iter > iteration {
-                            self.deferred.push(msg);
-                        } else {
-                            mark_slice(link.senders_to_me(), &mut pending, from, iter, iteration);
-                            engine.ingest(msg);
-                        }
-                    }
-                    None => match msg {
-                        Message::Heartbeat { .. } => continue,
-                        Message::Reshape { dead_rank, .. } => {
-                            return Ok(Flow::Reshape(match dead_rank {
-                                Some(r) => ReshapeReason::RankDeath(r),
-                                None => ReshapeReason::SpeedDrift,
-                            }));
-                        }
-                        Message::SpeedReport {
-                            from, step_micros, ..
-                        } => link.note_speed(from, step_micros),
-                        msg => match conv.observe(&msg, link)? {
-                            Flow::Continue => {}
-                            flow => return Ok(flow),
-                        },
-                    },
-                },
-                Err(CommError::Timeout { .. }) => {
-                    if let Some(heartbeat) = self.failure.heartbeat() {
-                        if last_probe.elapsed() >= heartbeat {
-                            last_probe = Instant::now();
-                            link.probe_liveness(self.failure.death_rule())?;
-                            if let Some(reason) = link.take_reshape() {
-                                return Ok(Flow::Reshape(reason));
-                            }
-                        }
-                    }
-                }
-                Err(e) => return Err(CoreError::Comm(e)),
-            }
-        }
-        conv.resolve(iteration, link)
-    }
-}
-
-/// Free-running progress: drain whatever has arrived before each step, and
-/// back off briefly when locally stable with nothing new (AIAC style — slow
-/// links delay *data freshness* instead of blocking the computation).
-///
-/// A dead peer is detected *between* sweeps too: every `heartbeat` interval
-/// of the failure policy the peers are probed, and any death observed (by a
-/// probe or by a tolerated data send) is verified with a `DEATH_GRACE`
-/// drain — a peer that exited because the run converged has a
-/// [`Message::GlobalConverged`] queued or in flight, which wins.  Only a
-/// death with no convergence notice behind it triggers the failure response,
-/// so async-mode rank death no longer spins until budget exhaustion.
-pub struct FreeRunning {
-    idle_backoff: Duration,
-    failure: FailurePolicy,
-    last_probe: Instant,
-    /// Deaths already adjudicated (index = rank), plus a count for a cheap
-    /// nothing-new early-out in the per-iteration check.
-    reported_dead: Vec<bool>,
-    reported_count: usize,
-}
-
-impl FreeRunning {
-    /// Builds the policy with the default idle backoff and the given failure
-    /// response for detected peer deaths.
-    pub fn new(failure: FailurePolicy) -> Self {
-        FreeRunning {
-            idle_backoff: IDLE_BACKOFF,
-            failure,
-            last_probe: Instant::now(),
-            reported_dead: Vec::new(),
-            reported_count: 0,
-        }
-    }
-}
-
-impl Default for FreeRunning {
-    fn default() -> Self {
-        Self::new(FailurePolicy::default())
-    }
-}
-
-impl FreeRunning {
-    /// A halt or death racing a convergence or reshape broadcast: keep
-    /// draining briefly so a queued or in-flight [`Message::GlobalConverged`]
-    /// (or a peer's [`Message::Reshape`], which names the rank that
-    /// *actually* died) wins — this is what keeps halt handling race-free
-    /// when a converged or reshaping peer has already exited.
-    fn drain_for_converged(link: &mut RankLink, grace: Duration) -> Flow {
-        let deadline = Instant::now() + grace;
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return Flow::Halted;
-            }
-            match link.recv_timeout(deadline - now) {
-                Ok(Message::GlobalConverged { .. }) => return Flow::Converged,
-                Ok(Message::Reshape { dead_rank, .. }) => {
-                    return Flow::Reshape(match dead_rank {
-                        Some(r) => ReshapeReason::RankDeath(r),
-                        None => ReshapeReason::SpeedDrift,
-                    })
-                }
-                Ok(_) => continue,
-                Err(_) => return Flow::Halted,
-            }
-        }
-    }
-
-    /// Adjudicates peers newly observed dead (by a probe or a tolerated
-    /// send): a racing convergence notice wins, otherwise the failure policy
-    /// decides between halting the run and requesting a reshape.
-    /// [`FailurePolicy::FailFast`] keeps the historical free-running
-    /// behavior of tolerating exits silently.
-    fn handle_new_deaths(&mut self, link: &mut RankLink) -> Result<Flow, CoreError> {
-        if link.dead_count() == self.reported_count {
-            return Ok(Flow::Continue);
-        }
-        if self.reported_dead.len() != link.world() {
-            self.reported_dead = vec![false; link.world()];
-        }
-        let newly: Vec<usize> = link
-            .dead_ranks()
-            .into_iter()
-            .filter(|&r| !self.reported_dead[r])
-            .collect();
-        for &r in &newly {
-            self.reported_dead[r] = true;
-            self.reported_count += 1;
-        }
-        let Some(&first) = newly.first() else {
-            return Ok(Flow::Continue);
-        };
-        match Self::drain_for_converged(link, DEATH_GRACE) {
-            Flow::Converged => return Ok(Flow::Converged),
-            // A peer already adjudicated this death and told us who it was —
-            // its notice beats our own guess, which may name a survivor that
-            // merely exited first while reshaping.
-            Flow::Reshape(reason) => return Ok(Flow::Reshape(reason)),
-            _ => {}
-        }
-        match self.failure {
-            FailurePolicy::FailFast => Ok(Flow::Continue),
-            FailurePolicy::HaltOnDeath { .. } => {
-                link.broadcast_halt();
-                Err(CoreError::Distributed(format!(
-                    "rank {}: peer rank {first} disconnected mid-solve with no convergence \
-                     notice in flight; halted the run",
-                    link.rank()
-                )))
-            }
-            FailurePolicy::Redistribute { .. } => {
-                let reason = ReshapeReason::RankDeath(first);
-                // Tell the survivors who died before exiting, so they report
-                // the same reason instead of blaming this rank's own exit.
-                link.raise_reshape(reason);
-                Ok(Flow::Reshape(reason))
-            }
-        }
-    }
-}
-
-impl ProgressPolicy for FreeRunning {
-    fn collect(
-        &mut self,
-        engine: &mut RankEngine,
-        link: &mut RankLink,
-        conv: &mut dyn ConvergencePolicy,
-    ) -> Result<Flow, CoreError> {
-        loop {
-            match link.try_recv() {
-                Ok(Some(msg)) => {
-                    if data_meta(&msg).is_some() {
-                        engine.ingest(msg);
-                    } else {
-                        match msg {
-                            Message::Heartbeat { .. } => {}
-                            Message::Reshape { dead_rank, .. } => {
-                                return Ok(Flow::Reshape(match dead_rank {
-                                    Some(r) => ReshapeReason::RankDeath(r),
-                                    None => ReshapeReason::SpeedDrift,
-                                }));
-                            }
-                            Message::SpeedReport {
-                                from, step_micros, ..
-                            } => link.note_speed(from, step_micros),
-                            msg => match conv.observe(&msg, link)? {
-                                Flow::Continue => {}
-                                Flow::Halted => {
-                                    return Ok(Self::drain_for_converged(link, HALT_GRACE))
-                                }
-                                flow => return Ok(flow),
-                            },
-                        }
-                    }
-                }
-                Ok(None) => return Ok(Flow::Continue),
-                Err(e) => return Err(CoreError::Comm(e)),
-            }
-        }
-    }
-
-    fn exchange(
-        &mut self,
-        _engine: &mut RankEngine,
-        link: &mut RankLink,
-        _conv: &mut dyn ConvergencePolicy,
-        obs: &StepObservation,
-        vote: bool,
-    ) -> Result<Flow, CoreError> {
-        if vote && (!obs.fresh_data || obs.increment == 0.0) && !self.idle_backoff.is_zero() {
-            // Locally stable and this step produced nothing new for the
-            // peers — either nothing arrived, or what arrived left the
-            // iterate bitwise unchanged (the incremental engine's SKIP path
-            // makes such steps near-free, so without this pacing a stable
-            // rank would re-send identical slices at network rate and its
-            // vote cadence would outrun the data still in flight).  Yield
-            // briefly instead of flooding the mesh.
-            std::thread::sleep(self.idle_backoff);
-        }
-        let Some(heartbeat) = self.failure.heartbeat() else {
-            return Ok(Flow::Continue);
-        };
-        if self.last_probe.elapsed() >= heartbeat {
-            self.last_probe = Instant::now();
-            // Probe under Tolerate: a closed peer is only *marked* here; the
-            // adjudication below decides whether the death is benign.
-            link.probe_liveness(DeathRule::Tolerate)?;
-        }
-        self.handle_new_deaths(link)
-    }
-}
-
-/// The lockstep policy stack of the synchronous adapters: guarded increment
-/// vote + centralized per-iteration votes + barrier-equivalent wait.  One
-/// constructor, so the threaded, batched and distributed sync paths cannot
-/// drift apart — their bitwise transport-independence depends on running the
-/// exact same policies.
-pub fn lockstep_policies(
-    rank: usize,
-    world: usize,
-    tolerance: f64,
-    peer_timeout: Duration,
-    failure: FailurePolicy,
-) -> (StaleSweepGuard<IncrementVote>, LockstepVotes, Lockstep) {
-    (
-        StaleSweepGuard::new(IncrementVote::lockstep(tolerance), tolerance),
-        LockstepVotes::new(rank, world, failure),
-        Lockstep::new(peer_timeout, failure),
-    )
-}
-
-/// The free-running policy stack of the asynchronous adapters (threaded and
-/// distributed).  `failure` decides what a heartbeat-detected peer death
-/// does: halt the run, request a reshape, or (historically) tolerate it.
-pub fn free_running_policies(
-    rank: usize,
-    world: usize,
-    tolerance: f64,
-    confirmations: u64,
-    failure: FailurePolicy,
-) -> (IncrementVote, ConfirmationWaves, FreeRunning) {
-    (
-        IncrementVote::free_running(tolerance),
-        ConfirmationWaves::new(rank, world, confirmations),
-        FreeRunning::new(failure),
-    )
-}
-
-/// The tree-structured lockstep policy stack: identical to
-/// [`lockstep_policies`] except that votes aggregate up an `arity`-ary
-/// reduction tree ([`TreeVotes`]) instead of flooding rank 0 — same local
-/// vote, same barrier-equivalent wait, bitwise-identical iterates.
-pub fn tree_policies(
-    rank: usize,
-    world: usize,
-    arity: usize,
-    tolerance: f64,
-    peer_timeout: Duration,
-    failure: FailurePolicy,
-) -> (StaleSweepGuard<IncrementVote>, TreeVotes, Lockstep) {
-    (
-        StaleSweepGuard::new(IncrementVote::lockstep(tolerance), tolerance),
-        TreeVotes::new(rank, world, arity, failure),
-        Lockstep::new(peer_timeout, failure),
-    )
-}
-
-/// The coordinator-free free-running policy stack: identical to
-/// [`free_running_policies`] except that convergence is detected by the
-/// decentralized stability-window protocol ([`DecentralizedWaves`]) instead
-/// of rank 0's [`VoteBoard`]; `stability_period` is the consecutive
-/// locally-converged iteration count required per rank.
-pub fn decentralized_policies(
-    rank: usize,
-    world: usize,
-    tolerance: f64,
-    stability_period: u64,
-    failure: FailurePolicy,
-) -> (IncrementVote, DecentralizedWaves, FreeRunning) {
-    (
-        IncrementVote::free_running(tolerance),
-        DecentralizedWaves::new(rank, world, stability_period),
-        FreeRunning::new(failure),
-    )
 }
 
 // ---------------------------------------------------------------------------
@@ -2630,7 +2464,7 @@ impl ColumnTracker {
     }
 }
 
-/// Optional instrumentation of the drive loop: periodic snapshots and
+/// Optional instrumentation of the rank loop: periodic snapshots and
 /// speed-drift rebalancing.  [`DriveHooks::default`] is a no-op, which is
 /// what the plain [`drive`] entry uses.
 #[derive(Default)]
@@ -2644,212 +2478,510 @@ pub struct DriveHooks {
     pub columns: Option<ColumnTracker>,
 }
 
-/// Pumps messages between the transport and the engine until convergence,
-/// halt, budget exhaustion or error — the **single** Algorithm 1 outer loop
-/// behind every driver.  On error, [`Message::Halt`] is broadcast so no peer
-/// spins forever on a rank that will never answer.
-pub fn drive(
-    engine: &mut RankEngine,
-    link: &mut RankLink,
+/// What one [`RankLoop::poll`] achieved.
+#[derive(Debug, Clone, Copy)]
+pub enum Polled {
+    /// The rank is done.
+    Ready(RankRun),
+    /// Nothing more to do before new inbox traffic or the caller's clock
+    /// reaching `wake_at` (at or before `now`: poll again at once).
+    Pending {
+        /// The latest time to poll again.
+        wake_at: Duration,
+    },
+}
+
+/// Where a [`RankLoop`] stands between two polls.
+#[derive(Debug, Clone, Copy)]
+enum Phase {
+    /// Intake, then the next step, not before `not_before` (idle backoff).
+    Step { not_before: Duration },
+    /// Stepped with a speed hook: the next poll's `now` times the step.
+    Stepped { obs: StepObservation, at: Duration },
+    /// Lockstep: the barrier wait of `iteration`.
+    Wait { iteration: u64, deadline: Duration },
+    /// Draining for a notice racing a halt (`death: None`) or a peer death.
+    Grace {
+        until: Duration,
+        death: Option<usize>,
+    },
+}
+
+/// What one phase of [`RankLoop::poll`] came to.
+enum Turn {
+    Next,
+    Wait(Duration),
+    Done(Flow),
+}
+
+/// The resumable Algorithm 1 outer loop of one rank — the **single** loop
+/// behind the blocking [`drive`] of every driver and the scale simulator.
+///
+/// An iteration is intake → step → fan-out → vote → exchange → hooks.
+/// [`RankLoop::poll`] advances the rank until it completes an iteration or
+/// would have to wait (for a peer's slice or vote, an idle backoff, a grace
+/// drain); the state of every wait survives between polls.  It never
+/// sleeps, blocks or reads a clock: `now` is the caller's time since an
+/// epoch at or before the first poll.  On error, [`Message::Halt`] is
+/// broadcast so no peer waits on this rank.  A loop that returned `Ready`
+/// or an error is spent.
+pub struct RankLoop<'r, 'a> {
+    engine: &'r mut RankEngine<'a>,
+    link: &'r mut RankLink<'a>,
+    vote: &'r mut dyn LocalVote,
+    conv: &'r mut dyn ConvergencePolicy,
+    hooks: &'r mut DriveHooks,
+    progress: Progress,
+    max_iterations: u64,
+    phase: Phase,
+    /// Iteration, step time and idle verdict of the latest step.
+    iteration: u64,
+    step_micros: f64,
+    idle: bool,
+    last_increment: f64,
+    /// Last heartbeat probe (lockstep: restarted by every wait).
+    last_probe: Duration,
+    /// Lockstep: dependency slices still missing this iteration (slot
+    /// order = the link's senders), and frames of future iterations.
+    pending: Vec<bool>,
+    deferred: Vec<Message>,
+    /// Free-running: the peer deaths already adjudicated.
+    known_dead: Vec<usize>,
+}
+
+impl<'r, 'a> RankLoop<'r, 'a> {
+    /// A loop that runs `engine` for at most `max_iterations` iterations.
+    pub fn new(
+        engine: &'r mut RankEngine<'a>,
+        link: &'r mut RankLink<'a>,
+        vote: &'r mut dyn LocalVote,
+        conv: &'r mut dyn ConvergencePolicy,
+        progress: Progress,
+        max_iterations: u64,
+        hooks: &'r mut DriveHooks,
+    ) -> Self {
+        RankLoop {
+            pending: vec![false; link.senders_to_me().len()],
+            engine,
+            link,
+            vote,
+            conv,
+            hooks,
+            progress,
+            max_iterations,
+            phase: Phase::Step {
+                not_before: Duration::ZERO,
+            },
+            iteration: 0,
+            step_micros: 0.0,
+            idle: false,
+            last_increment: f64::INFINITY,
+            last_probe: Duration::ZERO,
+            deferred: Vec::new(),
+            known_dead: Vec::new(),
+        }
+    }
+
+    /// Advances the rank as far as it goes at time `now`.  Polling before
+    /// the returned `wake_at` is always allowed: the loop then only takes in
+    /// what arrived.
+    pub fn poll(&mut self, now: Duration) -> Result<Polled, CoreError> {
+        loop {
+            let turn = match self.phase {
+                Phase::Step { not_before } => self.step(now, not_before),
+                Phase::Stepped { obs, at } => {
+                    self.exchange(now, obs, now.saturating_sub(at).as_secs_f64() * 1e6)
+                }
+                Phase::Wait {
+                    iteration,
+                    deadline,
+                } => self.barrier(now, iteration, deadline),
+                Phase::Grace { until, death } => self.grace(now, until, death),
+            };
+            match turn {
+                Ok(Turn::Next) => {}
+                Ok(Turn::Wait(wake_at)) => return Ok(Polled::Pending { wake_at }),
+                Ok(Turn::Done(flow)) => return Ok(Polled::Ready(self.finish(flow))),
+                Err(e) => {
+                    self.link.broadcast_halt();
+                    return Err(e);
+                }
+            }
+        }
+    }
+
+    /// Intake, the budget check and one engine step.
+    fn step(&mut self, now: Duration, not_before: Duration) -> Result<Turn, CoreError> {
+        if std::mem::take(&mut self.idle) {
+            // The backoff starts after the iteration that earned it.
+            let not_before = now + IDLE_BACKOFF;
+            self.phase = Phase::Step { not_before };
+            return Ok(Turn::Next);
+        }
+        if let Progress::FreeRunning { .. } = self.progress {
+            if let Some(turn) = self.intake(now)? {
+                return Ok(turn);
+            }
+        }
+        if self.engine.iterations() >= self.max_iterations {
+            // A convergence notice already queued won in the intake above;
+            // otherwise tell the peers so nobody spins forever.
+            self.conv.abandon(self.link);
+            return Ok(Turn::Done(Flow::Halted));
+        }
+        if now < not_before {
+            return Ok(Turn::Wait(not_before));
+        }
+        let obs = self.engine.step()?;
+        if self.hooks.speed.is_none() {
+            return self.exchange(now, obs, 0.0);
+        }
+        self.phase = Phase::Stepped { obs, at: now };
+        Ok(Turn::Wait(now))
+    }
+
+    /// Fan-out, vote and the progress mode's exchange after a step.
+    fn exchange(
+        &mut self,
+        now: Duration,
+        obs: StepObservation,
+        step_micros: f64,
+    ) -> Result<Turn, CoreError> {
+        self.iteration = obs.iteration;
+        self.step_micros = step_micros;
+        self.last_increment = self.vote.effective_increment(&obs);
+        // Per-column bits must be on the board before this rank's vote for
+        // the iteration can reach the coordinator (see [`ColumnBoard`]).
+        if let Some(tracker) = self.hooks.columns.as_mut() {
+            tracker.post(self.engine, &obs);
+        }
+        self.link
+            .fan_out(self.engine.outgoing(), self.conv.death_rule())?;
+        let local = self.vote.vote(&obs);
+        let flow = self.conv.submit(obs.iteration, local, self.link)?;
+        if flow != Flow::Continue {
+            return Ok(Turn::Done(flow));
+        }
+        let Progress::Lockstep { peer_timeout, .. } = self.progress else {
+            // Stable, and nothing new for the peers (no data, or a bitwise
+            // unchanged iterate): back off rather than re-send identical
+            // slices at network rate with votes outrunning the data.
+            self.idle = local && (!obs.fresh_data || obs.increment == 0.0);
+            if let Some(heartbeat) = self.progress.failure().heartbeat() {
+                if now.saturating_sub(self.last_probe) >= heartbeat {
+                    self.last_probe = now;
+                    // Probe under Tolerate: a closed peer is only *marked*
+                    // here; the grace drain judges whether it is benign.
+                    self.link.probe_liveness(DeathRule::Tolerate)?;
+                }
+                if let Some(dead) = self.new_death() {
+                    let (until, death) = (now + DEATH_GRACE, Some(dead));
+                    self.phase = Phase::Grace { until, death };
+                    return Ok(Turn::Next);
+                }
+            }
+            return self.end_iteration(now, Flow::Continue);
+        };
+        self.pending.fill(true);
+        self.last_probe = now;
+        for msg in std::mem::take(&mut self.deferred) {
+            self.take_slice(msg, obs.iteration);
+        }
+        let (iteration, deadline) = (obs.iteration, now + peer_timeout);
+        self.phase = Phase::Wait {
+            iteration,
+            deadline,
+        };
+        Ok(Turn::Next)
+    }
+
+    /// The lockstep wait of `iteration`: take in slices and votes until
+    /// every dependency slice and the decision are in.
+    fn barrier(
+        &mut self,
+        now: Duration,
+        iteration: u64,
+        deadline: Duration,
+    ) -> Result<Turn, CoreError> {
+        loop {
+            let waiting_slices = self.pending.contains(&true) && !self.conv.skip_pending_data();
+            if !self.conv.waiting(iteration) && !waiting_slices {
+                let flow = self.conv.resolve(iteration, self.link)?;
+                return self.end_iteration(now, flow);
+            }
+            if now >= deadline {
+                return Err(CoreError::Distributed(format!(
+                    "rank {}: timed out waiting for lockstep traffic of iteration {iteration}",
+                    self.link.rank()
+                )));
+            }
+            let Some(msg) = self.link.try_recv().map_err(CoreError::Comm)? else {
+                break;
+            };
+            if data_meta(&msg).is_some() {
+                self.take_slice(msg, iteration);
+            } else if let flow @ (Flow::Converged | Flow::Halted | Flow::Reshape(_)) =
+                self.control(&msg)?
+            {
+                return self.end_iteration(now, flow);
+            }
+        }
+        // Nothing queued: probe the peers when a heartbeat is due, so a dead
+        // rank fails the run promptly instead of at the deadline.
+        let failure = self.progress.failure();
+        let Some(heartbeat) = failure.heartbeat() else {
+            return Ok(Turn::Wait(deadline));
+        };
+        if now.saturating_sub(self.last_probe) >= heartbeat {
+            self.last_probe = now;
+            self.link.probe_liveness(failure.death_rule())?;
+            if let Some(reason) = self.link.take_reshape() {
+                return Ok(Turn::Done(Flow::Reshape(reason)));
+            }
+        }
+        Ok(Turn::Wait(deadline.min(self.last_probe + heartbeat)))
+    }
+
+    /// Lockstep intake of one data frame during the wait of `iteration`.  A
+    /// frame of a future iteration — from a fast peer that already got the
+    /// continue decision — is parked until its own wait, which keeps the
+    /// iterates identical over asynchronous-delivery transports (TCP).
+    fn take_slice(&mut self, msg: Message, iteration: u64) {
+        match data_meta(&msg) {
+            Some((_, iter)) if iter > iteration => self.deferred.push(msg),
+            Some((from, iter)) => {
+                let senders = self.link.senders_to_me();
+                if let Some(slot) = senders.iter().position(|&s| s == from) {
+                    self.pending[slot] &= iter != iteration;
+                }
+                self.engine.ingest(msg);
+            }
+            None => {}
+        }
+    }
+
+    /// Free-running intake: data to the engine, control to the policies.
+    /// `None` once the inbox is dry; a halt opens a `HALT_GRACE` drain.
+    fn intake(&mut self, now: Duration) -> Result<Option<Turn>, CoreError> {
+        while let Some(msg) = self.link.try_recv().map_err(CoreError::Comm)? {
+            if data_meta(&msg).is_some() {
+                self.engine.ingest(msg);
+                continue;
+            }
+            match self.control(&msg)? {
+                Flow::Continue => {}
+                Flow::Halted => {
+                    let until = now + HALT_GRACE;
+                    self.phase = Phase::Grace { until, death: None };
+                    return Ok(Some(Turn::Next));
+                }
+                flow => return Ok(Some(Turn::Done(flow))),
+            }
+        }
+        Ok(None)
+    }
+
+    /// Routes one control message: heartbeats are dropped, speed reports
+    /// noted, reshape notices end the run, the rest is the policy's.
+    fn control(&mut self, msg: &Message) -> Result<Flow, CoreError> {
+        match *msg {
+            Message::Heartbeat { .. } => Ok(Flow::Continue),
+            Message::Reshape { dead_rank, .. } => Ok(Flow::Reshape(reshape_reason(dead_rank))),
+            Message::SpeedReport {
+                from, step_micros, ..
+            } => {
+                self.link.note_speed(from, step_micros);
+                Ok(Flow::Continue)
+            }
+            _ => self.conv.observe(msg, self.link),
+        }
+    }
+
+    /// A halt or a death racing a convergence or reshape broadcast: keep
+    /// draining until `until`, so that a queued or in-flight
+    /// [`Message::GlobalConverged`] (or a peer's [`Message::Reshape`], which
+    /// names the rank that *actually* died) wins.  Everything else is
+    /// dropped.  Without such a notice a halt stops the run and a death goes
+    /// to the failure policy.
+    fn grace(
+        &mut self,
+        now: Duration,
+        until: Duration,
+        death: Option<usize>,
+    ) -> Result<Turn, CoreError> {
+        let flow = loop {
+            match self.link.try_recv() {
+                Ok(Some(Message::GlobalConverged { .. })) => break Flow::Converged,
+                Ok(Some(Message::Reshape { dead_rank, .. })) => {
+                    break Flow::Reshape(reshape_reason(dead_rank))
+                }
+                Ok(Some(_)) => {}
+                Ok(None) if now < until => return Ok(Turn::Wait(until)),
+                // Expired, or the inbox is gone: no notice is coming.
+                _ => break Flow::Halted,
+            }
+        };
+        match (death, flow) {
+            (Some(dead), Flow::Halted) => {
+                // Deaths are only judged under a heartbeat, never `FailFast`.
+                if let FailurePolicy::HaltOnDeath { .. } = self.progress.failure() {
+                    self.link.broadcast_halt();
+                    return Err(CoreError::Distributed(format!(
+                        "rank {}: peer rank {dead} disconnected mid-solve with no convergence \
+                         notice in flight; halted the run",
+                        self.link.rank()
+                    )));
+                }
+                // Tell the survivors who died before exiting, so they report
+                // the same reason instead of blaming this rank's own exit.
+                let reason = ReshapeReason::RankDeath(dead);
+                self.link.raise_reshape(reason);
+                Ok(Turn::Done(Flow::Reshape(reason)))
+            }
+            _ => Ok(Turn::Done(flow)),
+        }
+    }
+
+    /// The first peer observed dead (by a probe or a tolerated send) since
+    /// the previous call.
+    fn new_death(&mut self) -> Option<usize> {
+        if self.link.dead_count() == self.known_dead.len() {
+            return None;
+        }
+        let dead = self.link.dead_ranks();
+        let first = dead.iter().copied().find(|r| !self.known_dead.contains(r));
+        self.known_dead = dead;
+        first
+    }
+
+    /// Closes an iteration whose exchange ended in `flow`: freeze batch
+    /// columns, run the hooks, and yield before the next step.
+    fn end_iteration(&mut self, now: Duration, flow: Flow) -> Result<Turn, CoreError> {
+        // The decision is resolved, so the row of per-column bits is complete
+        // on every rank (a halt or reshape may leave it incomplete).
+        if let (Flow::Continue | Flow::Converged, Some(tracker)) = (flow, &mut self.hooks.columns) {
+            tracker.sweep(self.engine, self.iteration);
+        }
+        if flow != Flow::Continue {
+            return Ok(Turn::Done(flow));
+        }
+        if let Some(reason) = self.run_hooks()? {
+            return Ok(Turn::Done(Flow::Reshape(reason)));
+        }
+        self.phase = Phase::Step {
+            not_before: Duration::ZERO,
+        };
+        Ok(Turn::Wait(now))
+    }
+
+    /// The hooks of a completed iteration: the periodic checkpoint (the
+    /// halo holds every slice of the iteration), speed reports and rank 0's
+    /// drift check.  Returns a reshape raised by them or by a send failure.
+    fn run_hooks(&mut self) -> Result<Option<ReshapeReason>, CoreError> {
+        let (iteration, link) = (self.iteration, &mut *self.link);
+        let at_boundary = match &self.hooks.checkpoint {
+            Some(ck) => ck.maybe_save(self.engine, self.vote.checkpoint_state(), iteration)?,
+            None => true,
+        };
+        let Some(speed) = self.hooks.speed.as_mut() else {
+            return Ok(None);
+        };
+        speed.observe(self.step_micros);
+        if iteration.is_multiple_of(speed.report_every) {
+            let micros = speed.smoothed_micros();
+            link.note_speed(link.rank(), micros);
+            if link.rank() != 0 {
+                link.send_ruled(
+                    0,
+                    Message::SpeedReport {
+                        from: link.rank(),
+                        iteration,
+                        step_micros: micros,
+                    },
+                    DeathRule::Tolerate,
+                )?;
+            }
+        }
+        // Drift check: rank 0 only, at a checkpoint boundary (or any
+        // reporting boundary when checkpointing is off), once every rank has
+        // reported.
+        if link.rank() == 0
+            && at_boundary
+            && iteration.is_multiple_of(speed.report_every)
+            && speed.drift_threshold > 1.0
+        {
+            let speeds = link.observed_speeds();
+            if speeds.iter().all(|&s| s > 0) {
+                let max = speeds.iter().copied().max().unwrap_or(1) as f64;
+                let min = speeds.iter().copied().min().unwrap_or(1).max(1) as f64;
+                if max / min > speed.drift_threshold {
+                    link.raise_reshape(ReshapeReason::SpeedDrift);
+                }
+            }
+        }
+        Ok(link.take_reshape())
+    }
+
+    fn finish(&self, flow: Flow) -> RankRun {
+        let reshape = match flow {
+            Flow::Reshape(reason) => Some(reason),
+            _ => None,
+        };
+        if let (Some(_), Some(ck)) = (reshape, &self.hooks.checkpoint) {
+            // Persist the freshest state for the post-reshape warm start
+            // (best effort — the periodic snapshot is the fallback).
+            let _ = ck.save_now(self.engine, self.vote.checkpoint_state());
+        }
+        RankRun {
+            iterations: self.engine.iterations(),
+            last_increment: self.last_increment,
+            converged: flow == Flow::Converged,
+            reshape,
+        }
+    }
+}
+
+/// Runs one rank to completion, blocking in the transport whenever its
+/// [`RankLoop`] has to wait.
+pub fn drive<'a>(
+    engine: &mut RankEngine<'a>,
+    link: &mut RankLink<'a>,
     vote: &mut dyn LocalVote,
     conv: &mut dyn ConvergencePolicy,
-    progress: &mut dyn ProgressPolicy,
+    progress: Progress,
     max_iterations: u64,
 ) -> Result<RankRun, CoreError> {
-    drive_with_hooks(
-        engine,
-        link,
-        vote,
-        conv,
-        progress,
-        max_iterations,
-        &mut DriveHooks::default(),
-    )
+    let hooks = &mut DriveHooks::default();
+    drive_with_hooks(engine, link, vote, conv, progress, max_iterations, hooks)
 }
 
 /// [`drive`] with checkpoint/rebalance instrumentation — the entry the
 /// distributed runtime uses when [`crate::distributed::RankOptions`] enables
 /// checkpointing or online rebalancing.
-pub fn drive_with_hooks(
-    engine: &mut RankEngine,
-    link: &mut RankLink,
+pub fn drive_with_hooks<'a>(
+    engine: &mut RankEngine<'a>,
+    link: &mut RankLink<'a>,
     vote: &mut dyn LocalVote,
     conv: &mut dyn ConvergencePolicy,
-    progress: &mut dyn ProgressPolicy,
+    progress: Progress,
     max_iterations: u64,
     hooks: &mut DriveHooks,
 ) -> Result<RankRun, CoreError> {
-    let result = drive_inner(engine, link, vote, conv, progress, max_iterations, hooks);
-    if result.is_err() {
-        link.broadcast_halt();
-    }
-    result
-}
-
-/// Runs the post-exchange hook block of one iteration: speed bookkeeping,
-/// the periodic checkpoint, and rank 0's drift check.  Returns a reshape
-/// reason when the drift check fires.
-fn run_iteration_hooks(
-    engine: &RankEngine,
-    link: &mut RankLink,
-    vote: &dyn LocalVote,
-    hooks: &mut DriveHooks,
-    iteration: u64,
-    step_micros: f64,
-) -> Result<Option<ReshapeReason>, CoreError> {
-    let mut at_boundary = hooks.checkpoint.is_none();
-    if let Some(ck) = &hooks.checkpoint {
-        at_boundary = ck.maybe_save(engine, vote.checkpoint_state(), iteration)?;
-    }
-    let Some(speed) = hooks.speed.as_mut() else {
-        return Ok(None);
-    };
-    speed.observe(step_micros);
-    if iteration.is_multiple_of(speed.report_every) {
-        let micros = speed.smoothed_micros();
-        link.note_speed(link.rank(), micros);
-        if link.rank() != 0 {
-            link.send_ruled(
-                0,
-                Message::SpeedReport {
-                    from: link.rank(),
-                    iteration,
-                    step_micros: micros,
-                },
-                DeathRule::Tolerate,
-            )?;
-        }
-    }
-    // Drift check: rank 0 only, at a checkpoint boundary (or any reporting
-    // boundary when checkpointing is off), once every rank has reported.
-    if link.rank() == 0
-        && at_boundary
-        && iteration.is_multiple_of(speed.report_every)
-        && speed.drift_threshold > 1.0
-    {
-        let speeds = link.observed_speeds();
-        if speeds.iter().all(|&s| s > 0) {
-            let max = speeds.iter().copied().max().unwrap_or(1) as f64;
-            let min = speeds.iter().copied().min().unwrap_or(1).max(1) as f64;
-            if max / min > speed.drift_threshold {
-                link.raise_reshape(ReshapeReason::SpeedDrift);
+    let epoch = Instant::now();
+    let mut rank = RankLoop::new(engine, link, vote, conv, progress, max_iterations, hooks);
+    loop {
+        match rank.poll(epoch.elapsed())? {
+            Polled::Ready(run) => return Ok(run),
+            // Wait in the transport, never in a sleep: a message arriving
+            // before `wake_at` goes back to the loop through the link.
+            Polled::Pending { wake_at } => {
+                let now = epoch.elapsed();
+                if wake_at > now {
+                    rank.link.wait(WAIT_SLICE.min(wake_at - now));
+                }
             }
         }
     }
-    Ok(link.take_reshape())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn drive_inner(
-    engine: &mut RankEngine,
-    link: &mut RankLink,
-    vote: &mut dyn LocalVote,
-    conv: &mut dyn ConvergencePolicy,
-    progress: &mut dyn ProgressPolicy,
-    max_iterations: u64,
-    hooks: &mut DriveHooks,
-) -> Result<RankRun, CoreError> {
-    let mut converged = false;
-    let mut reshape = None;
-    let mut last_increment = f64::INFINITY;
-    'outer: while engine.iterations() < max_iterations {
-        // (0) intake (free-running drains here; lockstep ingested everything
-        // during the previous iteration's wait)
-        match progress.collect(engine, link, conv)? {
-            Flow::Continue => {}
-            Flow::Converged => {
-                converged = true;
-                break 'outer;
-            }
-            Flow::Halted => break 'outer,
-            Flow::Reshape(reason) => {
-                reshape = Some(reason);
-                break 'outer;
-            }
-        }
-        // (1)+(2) dependency fill and local solve
-        let t_step = Instant::now();
-        let obs = engine.step()?;
-        let step_micros = t_step.elapsed().as_secs_f64() * 1e6;
-        last_increment = vote.effective_increment(&obs);
-        // Per-column bits must be on the board before this rank's vote for
-        // the iteration can reach the coordinator (see [`ColumnBoard`]).
-        if let Some(tracker) = hooks.columns.as_mut() {
-            tracker.post(engine, &obs);
-        }
-        // (3) send the slice to every dependent processor
-        link.fan_out(engine.outgoing(), conv.death_rule())?;
-        // (4) vote and agree on global convergence
-        let local = vote.vote(&obs);
-        match conv.submit(obs.iteration, local, link)? {
-            Flow::Continue => {}
-            Flow::Converged => {
-                converged = true;
-                break 'outer;
-            }
-            Flow::Halted => break 'outer,
-            Flow::Reshape(reason) => {
-                reshape = Some(reason);
-                break 'outer;
-            }
-        }
-        let exchange_flow = progress.exchange(engine, link, conv, &obs, local)?;
-        // The lockstep decision for this iteration is resolved: the row of
-        // per-column bits is complete on every rank, so newly all-converged
-        // columns freeze at the iterate a solo run would have returned.
-        // (Halted/Reshape abort mid-wait with a possibly incomplete row.)
-        if matches!(exchange_flow, Flow::Continue | Flow::Converged) {
-            if let Some(tracker) = hooks.columns.as_mut() {
-                tracker.sweep(engine, obs.iteration);
-            }
-        }
-        match exchange_flow {
-            Flow::Continue => {}
-            Flow::Converged => {
-                converged = true;
-                break 'outer;
-            }
-            Flow::Halted => break 'outer,
-            Flow::Reshape(reason) => {
-                reshape = Some(reason);
-                break 'outer;
-            }
-        }
-        // (5) instrumentation: checkpoint at the boundary (the halo now
-        // holds every slice of this iteration), report speeds, check drift,
-        // and honor any reshape raised by a tolerated send failure.
-        if let Some(reason) =
-            run_iteration_hooks(engine, link, vote, hooks, obs.iteration, step_micros)?
-        {
-            reshape = Some(reason);
-            break 'outer;
-        }
-    }
-    if !converged && reshape.is_none() && engine.iterations() >= max_iterations {
-        // A convergence notice may already be queued: the coordinator can
-        // declare global convergence while this rank finishes its last
-        // budgeted iteration.  Drain once more before telling everyone to
-        // halt, so a converged run is never reported as failed.
-        match progress.collect(engine, link, conv)? {
-            Flow::Converged => converged = true,
-            Flow::Halted => {}
-            Flow::Reshape(reason) => reshape = Some(reason),
-            Flow::Continue => conv.abandon(link),
-        }
-    }
-    if reshape.is_some() && !converged {
-        // Persist the freshest possible state for the post-reshape warm
-        // start (best effort — the periodic snapshot remains the fallback).
-        if let Some(ck) = &hooks.checkpoint {
-            let _ = ck.save_now(engine, vote.checkpoint_state());
-        }
-    }
-    Ok(RankRun {
-        iterations: engine.iterations(),
-        last_increment,
-        converged,
-        reshape,
-    })
 }
 
 /// For every rank, the peers whose slices it receives each iteration — the
@@ -2872,14 +3004,14 @@ pub fn receive_sources(send_targets: &[Vec<usize>]) -> Vec<Vec<usize>> {
 // Threaded adapters (one thread per rank over a shared transport)
 // ---------------------------------------------------------------------------
 
-/// Output of one worker thread (shared by the threaded adapters).
-pub(crate) struct WorkerOutput {
-    pub(crate) part: usize,
-    pub(crate) x_local: Vec<f64>,
-    pub(crate) iterations: u64,
-    pub(crate) last_increment: f64,
-    pub(crate) converged: bool,
-    pub(crate) report: PartReport,
+/// Output of one worker thread of [`run_threaded`].
+struct WorkerOutput {
+    part: usize,
+    x_local: Vec<f64>,
+    iterations: u64,
+    last_increment: f64,
+    converged: bool,
+    report: PartReport,
 }
 
 /// Output of one batched worker thread.
@@ -2995,7 +3127,7 @@ pub(crate) fn fresh_workspaces(parts: usize) -> Vec<IterationWorkspace> {
     (0..parts).map(|_| IterationWorkspace::new()).collect()
 }
 
-pub(crate) fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -3005,8 +3137,32 @@ pub(crate) fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// Runs `worker(part, workspace)` on one scoped thread per part and returns
+/// the results in part order; a panicking worker becomes
+/// [`CoreError::WorkerPanic`].
+fn on_rank_threads<T: Send>(
+    workspaces: &mut [IterationWorkspace],
+    worker: impl Fn(usize, &mut IterationWorkspace) -> Result<T, CoreError> + Sync,
+) -> Vec<Result<T, CoreError>> {
+    let worker = &worker;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = workspaces
+            .iter_mut()
+            .enumerate()
+            .map(|(part, ws)| scope.spawn(move || worker(part, ws)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|p| Err(CoreError::WorkerPanic(panic_message(&p))))
+            })
+            .collect()
+    })
+}
+
 /// Turns the per-worker outputs into the global [`SolveOutcome`].
-pub(crate) fn assemble_outcome(
+fn assemble_outcome(
     outputs: Vec<Result<WorkerOutput, CoreError>>,
     partition: &BandPartition,
     config: &MultisplittingConfig,
@@ -3047,12 +3203,11 @@ fn part_report(
     engine: &RankEngine,
     run: &RankRun,
     targets: &[usize],
-    ncols: usize,
     wall_seconds: f64,
 ) -> PartReport {
     let factor_stats = factor.stats().clone();
     let dep_flops = 2 * (blk.dep_left.nnz() + blk.dep_right.nnz()) as u64;
-    let flops_per_iteration = (dep_flops + factor_stats.solve_flops()) * ncols as u64;
+    let flops_per_iteration = (dep_flops + factor_stats.solve_flops()) * engine.ncols() as u64;
     let memory_bytes = blk.memory_bytes() + factor_stats.factor_memory_bytes();
     let bytes_sent_per_iteration = if run.iterations > 0 && !targets.is_empty() {
         engine.outgoing_encoded_len() * targets.len()
@@ -3072,114 +3227,58 @@ fn part_report(
     }
 }
 
-/// One worker of the threaded lockstep (synchronous) adapter.
+/// The body of every threaded worker: drive `engine` under the policy stack
+/// of `protocol` and profile the run (`t0` is when the worker started).
 #[allow(clippy::too_many_arguments)]
-fn lockstep_worker(
-    partition: &BandPartition,
-    blk: &LocalBlocks,
-    b_sub: &[f64],
+fn drive_worker<'a>(
+    engine: &mut RankEngine<'a>,
     factor: &dyn Factorization,
-    targets: &[usize],
-    senders_to_me: &[usize],
+    targets: &'a [usize],
+    senders_to_me: &'a [usize],
+    protocol: Protocol,
     config: &MultisplittingConfig,
-    transport: &dyn Transport,
-    ws: &mut IterationWorkspace,
-) -> Result<WorkerOutput, CoreError> {
-    let t0 = Instant::now();
-    let failure = FailurePolicy::default();
-    let mut engine = RankEngine::single(partition, blk, b_sub, factor, config.weighting, ws);
-    let mut link = RankLink::new(transport, blk.part, targets, senders_to_me);
-    let (mut vote, mut conv, mut progress) = lockstep_policies(
-        blk.part,
+    transport: &'a dyn Transport,
+    hooks: &mut DriveHooks,
+    t0: Instant,
+) -> Result<(RankRun, PartReport), CoreError> {
+    let rank = engine.rank();
+    let mut link = RankLink::new(transport, rank, targets, senders_to_me);
+    let (mut vote, mut conv, progress) = protocol.stack(
+        rank,
         link.world(),
         config.tolerance,
         THREADED_PEER_TIMEOUT,
-        failure,
-    );
-    let run = drive(
-        &mut engine,
-        &mut link,
-        &mut vote,
-        &mut conv,
-        &mut progress,
-        config.max_iterations,
-    )?;
-    let report = part_report(
-        blk,
-        factor,
-        &engine,
-        &run,
-        targets,
-        1,
-        t0.elapsed().as_secs_f64(),
-    );
-    Ok(WorkerOutput {
-        part: blk.part,
-        x_local: engine.x_local().to_vec(),
-        iterations: run.iterations,
-        last_increment: run.last_increment,
-        converged: run.converged,
-        report,
-    })
-}
-
-/// One worker of the threaded free-running (asynchronous) adapter.
-#[allow(clippy::too_many_arguments)]
-fn free_running_worker(
-    partition: &BandPartition,
-    blk: &LocalBlocks,
-    b_sub: &[f64],
-    factor: &dyn Factorization,
-    targets: &[usize],
-    config: &MultisplittingConfig,
-    transport: &dyn Transport,
-    ws: &mut IterationWorkspace,
-) -> Result<WorkerOutput, CoreError> {
-    let t0 = Instant::now();
-    let mut engine = RankEngine::single(partition, blk, b_sub, factor, config.weighting, ws);
-    let mut link = RankLink::new(transport, blk.part, targets, &[]);
-    let (mut vote, mut conv, mut progress) = free_running_policies(
-        blk.part,
-        link.world(),
-        config.tolerance,
-        config.async_confirmations,
         FailurePolicy::default(),
     );
-    let run = drive(
-        &mut engine,
+    let run = drive_with_hooks(
+        engine,
         &mut link,
-        &mut vote,
-        &mut conv,
-        &mut progress,
+        vote.as_mut(),
+        conv.as_mut(),
+        progress,
         config.max_iterations,
+        hooks,
     )?;
     let report = part_report(
-        blk,
+        engine.blk,
         factor,
-        &engine,
+        engine,
         &run,
         targets,
-        1,
         t0.elapsed().as_secs_f64(),
     );
-    Ok(WorkerOutput {
-        part: blk.part,
-        x_local: engine.x_local().to_vec(),
-        iterations: run.iterations,
-        last_increment: run.last_increment,
-        converged: run.converged,
-        report,
-    })
+    Ok((run, report))
 }
 
-/// Synchronous threaded solve over borrowed prepared state: blocks and
-/// factorizations are only *read*, so the same prepared system can serve any
-/// number of solves.  `rhs` optionally overrides the right-hand side captured
-/// in the blocks at extraction time; `workspaces` supplies one per-worker
+/// Threaded solve over borrowed prepared state, one thread per rank in the
+/// configured execution mode: blocks and factorizations are only *read*, so
+/// the same prepared system can serve any number of solves.  `rhs`
+/// optionally overrides the right-hand side captured in the blocks at
+/// extraction time; `workspaces` supplies one per-worker
 /// [`IterationWorkspace`] per part (a prepared system passes pooled, already
 /// grown buffers so warm solves allocate nothing in the iteration loop).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_sync(
+pub(crate) fn run_threaded(
     partition: &BandPartition,
     blocks: &[LocalBlocks],
     factors: &[Arc<dyn Factorization>],
@@ -3192,172 +3291,42 @@ pub(crate) fn run_sync(
 ) -> Result<SolveOutcome, CoreError> {
     check_transport_ranks(partition.num_parts(), &transport)?;
     debug_assert_eq!(workspaces.len(), partition.num_parts());
-    let senders = receive_sources(send_targets);
-
-    let outputs: Vec<Result<WorkerOutput, CoreError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = blocks
-            .iter()
-            .zip(factors.iter())
-            .zip(send_targets.iter())
-            .zip(senders.iter())
-            .zip(workspaces.iter_mut())
-            .map(|((((blk, factor), targets), senders_to_me), ws)| {
-                let transport = &transport;
-                scope.spawn(move || {
-                    let b_sub: &[f64] = match rhs {
-                        Some(b) => &b[partition.extended_range(blk.part)],
-                        None => &blk.b_sub,
-                    };
-                    lockstep_worker(
-                        partition,
-                        blk,
-                        b_sub,
-                        factor.as_ref(),
-                        targets,
-                        senders_to_me,
-                        config,
-                        transport.as_ref(),
-                        ws,
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|p| Err(CoreError::WorkerPanic(panic_message(&p))))
-            })
-            .collect()
-    });
-
-    assemble_outcome(outputs, partition, config, start)
-}
-
-/// Asynchronous threaded solve over borrowed prepared state (see
-/// [`run_sync`] for the borrowing contract and the `rhs` override semantics).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_async(
-    partition: &BandPartition,
-    blocks: &[LocalBlocks],
-    factors: &[Arc<dyn Factorization>],
-    send_targets: &[Vec<usize>],
-    rhs: Option<&[f64]>,
-    config: &MultisplittingConfig,
-    transport: Arc<dyn Transport>,
-    workspaces: &mut [IterationWorkspace],
-    start: Instant,
-) -> Result<SolveOutcome, CoreError> {
-    check_transport_ranks(partition.num_parts(), &transport)?;
-    debug_assert_eq!(workspaces.len(), partition.num_parts());
-
-    let outputs: Vec<Result<WorkerOutput, CoreError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = blocks
-            .iter()
-            .zip(factors.iter())
-            .zip(send_targets.iter())
-            .zip(workspaces.iter_mut())
-            .map(|(((blk, factor), targets), ws)| {
-                let transport = &transport;
-                scope.spawn(move || {
-                    let b_sub: &[f64] = match rhs {
-                        Some(b) => &b[partition.extended_range(blk.part)],
-                        None => &blk.b_sub,
-                    };
-                    free_running_worker(
-                        partition,
-                        blk,
-                        b_sub,
-                        factor.as_ref(),
-                        targets,
-                        config,
-                        transport.as_ref(),
-                        ws,
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|p| Err(CoreError::WorkerPanic(panic_message(&p))))
-            })
-            .collect()
-    });
-
-    assemble_outcome(outputs, partition, config, start)
-}
-
-/// One worker of the batched lockstep adapter: identical to
-/// [`lockstep_worker`] but with `ncols` solution columns marching in
-/// lockstep — one [`msplit_direct::api::Factorization::solve_many_into`]
-/// pass and one [`Message::SolutionBatch`] per outer iteration.
-#[allow(clippy::too_many_arguments)]
-fn lockstep_batch_worker(
-    partition: &BandPartition,
-    blk: &LocalBlocks,
-    b_cols: Vec<&[f64]>,
-    factor: &dyn Factorization,
-    targets: &[usize],
-    senders_to_me: &[usize],
-    config: &MultisplittingConfig,
-    transport: &dyn Transport,
-    ws: &mut IterationWorkspace,
-    board: &Arc<ColumnBoard>,
-) -> Result<BatchWorkerOutput, CoreError> {
-    let t0 = Instant::now();
-    let ncols = b_cols.len();
-    let failure = FailurePolicy::default();
-    let mut engine = RankEngine::batch(partition, blk, b_cols, factor, config.weighting, ws);
-    let mut link = RankLink::new(transport, blk.part, targets, senders_to_me);
-    let (mut vote, mut conv, mut progress) = lockstep_policies(
-        blk.part,
-        link.world(),
-        config.tolerance,
-        THREADED_PEER_TIMEOUT,
-        failure,
-    );
-    let mut hooks = DriveHooks {
-        columns: Some(ColumnTracker::new(
-            Arc::clone(board),
-            config.tolerance,
-            ncols,
-        )),
-        ..DriveHooks::default()
-    };
-    let run = drive_with_hooks(
-        &mut engine,
-        &mut link,
-        &mut vote,
-        &mut conv,
-        &mut progress,
-        config.max_iterations,
-        &mut hooks,
+    let protocol = Protocol::select(
+        config.mode,
+        DetectionProtocol::Default,
+        config.async_confirmations,
     )?;
-    let report = part_report(
-        blk,
-        factor,
-        &engine,
-        &run,
-        targets,
-        ncols,
-        t0.elapsed().as_secs_f64(),
-    );
-    let (x_columns, column_converged_at) = hooks
-        .columns
-        .take()
-        .expect("tracker installed above")
-        .into_columns(engine.x_columns());
-    Ok(BatchWorkerOutput {
-        part: blk.part,
-        x_columns,
-        column_converged_at,
-        iterations: run.iterations,
-        last_increment: run.last_increment,
-        converged: run.converged,
-        report,
-    })
+    let senders = receive_sources(send_targets);
+    let outputs = on_rank_threads(workspaces, |part, ws| {
+        let t0 = Instant::now();
+        let blk = &blocks[part];
+        let factor = factors[part].as_ref();
+        let b_sub: &[f64] = match rhs {
+            Some(b) => &b[partition.extended_range(part)],
+            None => &blk.b_sub,
+        };
+        let mut engine = RankEngine::single(partition, blk, b_sub, factor, config.weighting, ws);
+        let (run, report) = drive_worker(
+            &mut engine,
+            factor,
+            &send_targets[part],
+            &senders[part],
+            protocol,
+            config,
+            transport.as_ref(),
+            &mut DriveHooks::default(),
+            t0,
+        )?;
+        Ok(WorkerOutput {
+            part,
+            x_local: engine.x_local().to_vec(),
+            iterations: run.iterations,
+            last_increment: run.last_increment,
+            converged: run.converged,
+            report,
+        })
+    });
+    assemble_outcome(outputs, partition, config, start)
 }
 
 /// Synchronous multi-RHS solve over borrowed prepared state: every outer
@@ -3403,43 +3372,47 @@ pub(crate) fn run_sync_batch(
     }
     let senders = receive_sources(send_targets);
     let board = ColumnBoard::new(parts, ncols);
-
-    let outputs: Vec<Result<BatchWorkerOutput, CoreError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = blocks
-            .iter()
-            .zip(factors.iter())
-            .zip(send_targets.iter())
-            .zip(senders.iter())
-            .zip(workspaces.iter_mut())
-            .map(|((((blk, factor), targets), senders_to_me), ws)| {
-                let transport = &transport;
-                let board = &board;
-                scope.spawn(move || {
-                    let range = partition.extended_range(blk.part);
-                    let b_cols: Vec<&[f64]> =
-                        rhs_columns.iter().map(|b| &b[range.clone()]).collect();
-                    lockstep_batch_worker(
-                        partition,
-                        blk,
-                        b_cols,
-                        factor.as_ref(),
-                        targets,
-                        senders_to_me,
-                        config,
-                        transport.as_ref(),
-                        ws,
-                        board,
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|p| Err(CoreError::WorkerPanic(panic_message(&p))))
-            })
-            .collect()
+    let outputs = on_rank_threads(workspaces, |part, ws| {
+        let t0 = Instant::now();
+        let blk = &blocks[part];
+        let factor = factors[part].as_ref();
+        let range = partition.extended_range(part);
+        let b_cols: Vec<&[f64]> = rhs_columns.iter().map(|b| &b[range.clone()]).collect();
+        let mut engine = RankEngine::batch(partition, blk, b_cols, factor, config.weighting, ws);
+        let mut hooks = DriveHooks {
+            columns: Some(ColumnTracker::new(
+                Arc::clone(&board),
+                config.tolerance,
+                ncols,
+            )),
+            ..DriveHooks::default()
+        };
+        let (run, report) = drive_worker(
+            &mut engine,
+            factor,
+            &send_targets[part],
+            &senders[part],
+            // A batch marches in lockstep, whatever the configured mode.
+            Protocol::Lockstep,
+            config,
+            transport.as_ref(),
+            &mut hooks,
+            t0,
+        )?;
+        let (x_columns, column_converged_at) = hooks
+            .columns
+            .take()
+            .expect("tracker installed above")
+            .into_columns(engine.x_columns());
+        Ok(BatchWorkerOutput {
+            part,
+            x_columns,
+            column_converged_at,
+            iterations: run.iterations,
+            last_increment: run.last_increment,
+            converged: run.converged,
+            report,
+        })
     });
 
     // Assemble one global solution per column using the weighting scheme.
@@ -3489,11 +3462,9 @@ pub(crate) fn run_sync_batch(
     })
 }
 
-/// Runs the threaded multisplitting solve over the given transport,
-/// dispatching on `config.mode` — the unified entry point behind
-/// [`crate::solver::MultisplittingSolver::solve_with_transport`] (the
-/// pre-runtime `sync_driver`/`async_driver` shims that used to forward here
-/// were removed after their one-release deprecation window).
+/// Runs the threaded multisplitting solve over the given transport in
+/// `config.mode` — the unified entry point behind
+/// [`crate::solver::MultisplittingSolver::solve_with_transport`].
 pub fn solve_threaded(
     decomposition: crate::decomposition::Decomposition,
     config: &MultisplittingConfig,
@@ -3505,30 +3476,17 @@ pub fn solve_threaded(
     let factors = factorize_blocks(&blocks, config)?;
     let send_targets = crate::driver_common::compute_send_targets(&partition, &blocks);
     let mut workspaces = fresh_workspaces(partition.num_parts());
-    match config.mode {
-        ExecutionMode::Synchronous => run_sync(
-            &partition,
-            &blocks,
-            &factors,
-            &send_targets,
-            None,
-            config,
-            transport,
-            &mut workspaces,
-            start,
-        ),
-        ExecutionMode::Asynchronous => run_async(
-            &partition,
-            &blocks,
-            &factors,
-            &send_targets,
-            None,
-            config,
-            transport,
-            &mut workspaces,
-            start,
-        ),
-    }
+    run_threaded(
+        &partition,
+        &blocks,
+        &factors,
+        &send_targets,
+        None,
+        config,
+        transport,
+        &mut workspaces,
+        start,
+    )
 }
 
 /// Convenience wrapper: threaded solve with a fresh in-process transport.
@@ -3662,6 +3620,28 @@ mod tests {
         b.record(1, true);
         assert!(!b.is_global()); // fresh wave: rank1 confirmed, rank0 pending
         assert!(b.record(0, true));
+    }
+
+    #[test]
+    fn residual_tracker_requires_consecutive_small_increments() {
+        let mut t = ResidualTracker::new(1e-8, 2);
+        assert_eq!(t.record(1.0), LocalConvergence::NotConverged);
+        assert_eq!(t.record(1e-9), LocalConvergence::NotConverged);
+        assert_eq!(t.record(1e-10), LocalConvergence::Converged);
+        assert_eq!(t.last_increment(), 1e-10);
+        assert_eq!(t.tolerance(), 1e-8);
+        // A large increment resets the window.
+        assert_eq!(t.record(0.5), LocalConvergence::NotConverged);
+        assert_eq!(t.record(1e-9), LocalConvergence::NotConverged);
+        t.reset();
+        assert_eq!(t.record(1e-9), LocalConvergence::NotConverged);
+        assert_eq!(t.record(1e-9), LocalConvergence::Converged);
+    }
+
+    #[test]
+    fn single_iteration_window_converges_immediately() {
+        let mut t = ResidualTracker::new(1e-6, 1);
+        assert_eq!(t.record(1e-7), LocalConvergence::Converged);
     }
 
     #[test]
@@ -3877,6 +3857,139 @@ mod tests {
         assert!(!engine.ingest(slice(3)));
         // Control messages are never fresh data.
         assert!(!engine.ingest(Message::Halt));
+    }
+
+    // ----- the rank loop, polled with a hand-set clock
+
+    /// Rank 1 of a two-band tridiagonal system; rank 0 never runs, so
+    /// rank 1 hears only what a test sends it.
+    fn with_rank1_loop(protocol: Protocol, test: impl FnOnce(&mut RankLoop, &InProcTransport)) {
+        let a = generators::tridiagonal(20, 4.0, -1.0);
+        let (_, b) = generators::rhs_for_solution(&a, |i| (i % 7) as f64);
+        let d = Decomposition::uniform(&a, &b, 2, 0).unwrap();
+        let partition = d.partition().clone();
+        let (_, blocks) = d.into_blocks();
+        let blk = &blocks[1];
+        let factor = SolverKind::SparseLu.build().factorize(&blk.a_sub).unwrap();
+        let mut ws = IterationWorkspace::new();
+        let mut engine = RankEngine::single(
+            &partition,
+            blk,
+            &blk.b_sub,
+            factor.as_ref(),
+            WeightingScheme::OwnerTakes,
+            &mut ws,
+        );
+        let transport = InProcTransport::new(2);
+        let peers = [0usize];
+        let mut link = RankLink::new(transport.as_ref(), 1, &peers, &peers);
+        let (mut vote, mut conv, progress) =
+            protocol.stack(1, 2, 1e-8, Duration::from_secs(1), FailurePolicy::FailFast);
+        let mut hooks = DriveHooks::default();
+        let mut rank = RankLoop::new(
+            &mut engine,
+            &mut link,
+            vote.as_mut(),
+            conv.as_mut(),
+            progress,
+            100,
+            &mut hooks,
+        );
+        test(&mut rank, transport.as_ref());
+    }
+
+    #[test]
+    fn a_stable_free_running_rank_backs_off_without_stepping() {
+        with_rank1_loop(Protocol::Waves { confirmations: 3 }, |rank, _| {
+            let now = Duration::from_millis(5);
+            // Step 1 solves; steps 2 and 3 see no fresh data and reproduce
+            // the iterate exactly, which fills the 2-step stability window.
+            // The backoff starts at the poll after the stable step.
+            let mut wake_at = now;
+            while wake_at <= now {
+                assert!(rank.engine.iterations() <= 3, "no backoff after 3 steps");
+                match rank.poll(now).unwrap() {
+                    Polled::Pending { wake_at: w } => wake_at = w,
+                    Polled::Ready(run) => panic!("finished early: {run:?}"),
+                }
+            }
+            assert_eq!(rank.engine.iterations(), 3);
+            assert_eq!(wake_at, now + IDLE_BACKOFF);
+            // Polling before the backoff ends only checks the inbox.
+            for t in [
+                now,
+                now + IDLE_BACKOFF / 2,
+                wake_at - Duration::from_nanos(1),
+            ] {
+                assert!(matches!(
+                    rank.poll(t).unwrap(),
+                    Polled::Pending { wake_at: w } if w == wake_at
+                ));
+                assert_eq!(rank.engine.iterations(), 3);
+            }
+            rank.poll(wake_at).unwrap();
+            assert_eq!(rank.engine.iterations(), 4);
+        });
+    }
+
+    #[test]
+    fn a_lockstep_rank_with_silent_peers_times_out_at_the_deadline() {
+        with_rank1_loop(Protocol::Lockstep, |rank, transport| {
+            let peer_timeout = Duration::from_secs(1);
+            assert!(matches!(
+                rank.poll(Duration::ZERO).unwrap(),
+                Polled::Pending { wake_at } if wake_at == peer_timeout
+            ));
+            assert!(matches!(
+                rank.poll(peer_timeout - Duration::from_nanos(1)).unwrap(),
+                Polled::Pending { .. }
+            ));
+            assert_eq!(rank.engine.iterations(), 1);
+            match rank.poll(peer_timeout) {
+                Err(CoreError::Distributed(msg)) => assert!(msg.contains("timed out"), "{msg}"),
+                other => panic!("expected the timeout error, got {other:?}"),
+            }
+            // The failed rank told its peer to stop.
+            let mut inbox = Vec::new();
+            while let Some(msg) = transport.try_recv(0).unwrap() {
+                inbox.push(msg);
+            }
+            assert_eq!(inbox.last(), Some(&Message::Halt));
+        });
+    }
+
+    #[test]
+    fn a_convergence_notice_within_the_halt_grace_wins() {
+        with_rank1_loop(Protocol::Waves { confirmations: 3 }, |rank, transport| {
+            transport.send(0, 1, Message::Halt).unwrap();
+            assert!(matches!(
+                rank.poll(Duration::ZERO).unwrap(),
+                Polled::Pending { wake_at } if wake_at == HALT_GRACE
+            ));
+            assert_eq!(rank.engine.iterations(), 0, "a halted rank does not step");
+            transport
+                .send(0, 1, Message::GlobalConverged { iteration: 7 })
+                .unwrap();
+            match rank.poll(HALT_GRACE / 2).unwrap() {
+                Polled::Ready(run) => assert!(run.converged),
+                Polled::Pending { .. } => panic!("the notice was not taken in"),
+            }
+        });
+    }
+
+    #[test]
+    fn a_halt_without_a_notice_stops_the_rank_when_the_grace_ends() {
+        with_rank1_loop(Protocol::Waves { confirmations: 3 }, |rank, transport| {
+            transport.send(0, 1, Message::Halt).unwrap();
+            assert!(matches!(
+                rank.poll(Duration::ZERO).unwrap(),
+                Polled::Pending { .. }
+            ));
+            match rank.poll(HALT_GRACE).unwrap() {
+                Polled::Ready(run) => assert!(!run.converged && run.reshape.is_none()),
+                Polled::Pending { .. } => panic!("the grace drain outlived its deadline"),
+            }
+        });
     }
 
     // ----- threaded-adapter behavior (moved here from the deprecated

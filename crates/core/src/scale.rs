@@ -2,34 +2,27 @@
 //!
 //! The paper's grid premise is hundreds of distant processors, but a real
 //! 1000-rank deployment is not something CI can spawn.  This module runs the
-//! *actual* per-rank runtime — the same [`RankEngine`], [`LocalVote`] chains
-//! and [`ConvergencePolicy`] state machines every driver uses — for hundreds
-//! of ranks inside one process on one thread, with a deterministic
-//! pseudo-random rank schedule, so protocol behavior at P ∈ {256, 512, 1024}
-//! can be asserted in tests and gated in CI (the `scale-sim` lane).
+//! *actual* per-rank runtime — the same [`RankLoop`] over the same
+//! [`RankEngine`], local votes and convergence policies every driver uses —
+//! for hundreds of ranks inside one process on one thread, with a
+//! deterministic pseudo-random rank schedule, so protocol behavior at
+//! P ∈ {256, 512, 1024} can be asserted in tests and gated in CI (the
+//! `scale-sim` lane).
 //!
-//! The simulator replaces only the *transport and scheduler*: a
+//! The simulator replaces only the *transport, scheduler and clock*: a
 //! [`SimTransport`] with per-rank in-memory inboxes that additionally counts
 //! control/data traffic and records the coordinator's peak inbox depth — the
-//! quantities the perf-report `convergence` table gates on.  Everything a
-//! protocol does (who votes to whom, when aggregates go up the tree, when a
-//! decentralized rank declares) is the production policy code, driven through
-//! the same `submit`/`observe`/`waiting`/`resolve` sequence as the blocking
-//! drive loop, just non-blockingly:
-//!
-//! * **Lockstep family** ([`Protocol::Lockstep`], [`Protocol::Tree`]): each
-//!   visit performs at most one engine step and then replays the
-//!   barrier-equivalent wait of [`Lockstep`](crate::runtime::Lockstep) as a
-//!   resumable state machine (pending dependency slices, deferred
-//!   future-iteration frames, policy wait + resolve).  Because the barrier
-//!   makes lockstep iterates schedule-independent, every seed produces the
-//!   same bitwise solution — which is exactly what lets tests pin
-//!   [`TreeVotes`] against [`LockstepVotes`] bitwise at scale.
-//! * **Free-running family** ([`Protocol::Waves`],
-//!   [`Protocol::Decentralized`]): each visit drains the inbox (data to the
-//!   engine, control to the policy) and performs one step, mirroring
-//!   [`FreeRunning`](crate::runtime::FreeRunning) without the idle backoff
-//!   and heartbeat machinery (no clock, no thread can die).
+//! quantities the perf-report `convergence` table gates on — and a virtual
+//! clock that advances `SWEEP_TICK` per sweep.  Each sweep polls every
+//! unfinished rank once, in a seeded random order; [`RankLoop::poll`] never
+//! blocks, so a rank that has to wait simply returns.  Everything else is
+//! production code: the lockstep barrier with its parked future-iteration
+//! frames and peer deadline, the free-running idle backoff, the halt grace
+//! drain, and every protocol's message traffic.  Because the barrier makes
+//! lockstep iterates schedule-independent, every seed produces the same
+//! bitwise solution — which is what lets tests pin [`TreeVotes`] against
+//! [`LockstepVotes`] bitwise at scale, and the simulator against the
+//! threaded driver.  The run is a pure function of its [`ScaleConfig`].
 //!
 //! Entry point: [`simulate_ranks`] (also re-exported as
 //! `runtime::simulate_ranks`), returning a [`ScaleReport`] with the solution,
@@ -37,10 +30,11 @@
 
 use crate::decomposition::Decomposition;
 use crate::runtime::{
-    data_meta, factorize_blocks, fresh_workspaces, mark_slice, receive_sources, ConfirmationWaves,
-    ConvergencePolicy, DecentralizedWaves, EventLog, FailurePolicy, Flow, IncrementVote, LocalVote,
-    LockstepVotes, RankEngine, RankLink, StaleSweepGuard, TreeVotes,
+    factorize_blocks, fresh_workspaces, receive_sources, DriveHooks, EventLog, FailurePolicy,
+    Polled, RankEngine, RankLink, RankLoop, THREADED_PEER_TIMEOUT,
 };
+#[allow(unused_imports)] // doc links
+use crate::runtime::{LockstepVotes, TreeVotes};
 use crate::solver::MultisplittingConfig;
 use crate::CoreError;
 use msplit_comm::message::Message;
@@ -52,44 +46,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// Which convergence-detection protocol the simulated ranks run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Protocol {
-    /// Flat centralized lockstep votes ([`LockstepVotes`]).
-    Lockstep,
-    /// Tree-aggregated lockstep votes ([`TreeVotes`]).
-    Tree {
-        /// Reduction-tree arity (clamped to at least 2).
-        arity: usize,
-    },
-    /// Free-running confirmation waves through rank 0 ([`ConfirmationWaves`]).
-    Waves {
-        /// Complete confirmation waves required to latch global convergence.
-        confirmations: u64,
-    },
-    /// Coordinator-free decentralized detection ([`DecentralizedWaves`]).
-    Decentralized {
-        /// Consecutive locally-converged iterations per rank's window.
-        stability_period: u64,
-    },
-}
+pub use crate::runtime::Protocol;
 
-impl Protocol {
-    /// Whether this protocol runs under the barrier-equivalent lockstep wait.
-    pub fn is_lockstep(self) -> bool {
-        matches!(self, Protocol::Lockstep | Protocol::Tree { .. })
-    }
-
-    /// Short stable label for reports and artifacts.
-    pub fn label(self) -> &'static str {
-        match self {
-            Protocol::Lockstep => "lockstep",
-            Protocol::Tree { .. } => "tree",
-            Protocol::Waves { .. } => "waves",
-            Protocol::Decentralized { .. } => "decentralized",
-        }
-    }
-}
+/// Virtual time one sweep of the scheduler takes: a tenth of the
+/// free-running idle backoff, so a rank backing off sits out ten sweeps.
+const SWEEP_TICK: Duration = Duration::from_micros(10);
 
 /// Configuration of one [`simulate_ranks`] run.
 #[derive(Debug, Clone)]
@@ -352,232 +313,6 @@ impl Xorshift64 {
 }
 
 // ---------------------------------------------------------------------------
-// The cooperative per-rank state machine
-// ---------------------------------------------------------------------------
-
-/// Resumable per-rank progress state of the non-blocking drive loop.
-struct RankState {
-    /// Lockstep family: inside the post-step barrier wait.
-    waiting: bool,
-    /// Iteration currently being waited on / most recently stepped.
-    iteration: u64,
-    /// Lockstep family: dependency slices still missing this iteration
-    /// (slot order = `senders_to_me`).
-    pending: Vec<bool>,
-    /// Lockstep family: data frames stamped with a future iteration.
-    deferred: Vec<Message>,
-    /// Terminal outcome (`Some(converged)`).
-    done: Option<bool>,
-}
-
-impl RankState {
-    fn new() -> Self {
-        RankState {
-            waiting: false,
-            iteration: 0,
-            pending: Vec::new(),
-            deferred: Vec::new(),
-            done: None,
-        }
-    }
-}
-
-/// One cooperative visit of a lockstep-family rank: at most one engine step,
-/// then the barrier wait replayed non-blockingly (mirrors
-/// [`Lockstep::exchange`](crate::runtime::Lockstep) without clocks).
-fn visit_lockstep(
-    engine: &mut RankEngine,
-    link: &mut RankLink,
-    vote: &mut dyn LocalVote,
-    conv: &mut dyn ConvergencePolicy,
-    st: &mut RankState,
-    max_iterations: u64,
-) -> Result<(), CoreError> {
-    if st.done.is_some() {
-        return Ok(());
-    }
-    if !st.waiting {
-        if engine.iterations() >= max_iterations {
-            // Budget exhausted: the lockstep budget is synchronized (every
-            // rank runs out at the same iteration), so mirror the drive
-            // loop's final drain-then-abandon.
-            while let Some(msg) = link.try_recv().map_err(CoreError::Comm)? {
-                if data_meta(&msg).is_none() {
-                    if let Flow::Converged = conv.observe(&msg, link)? {
-                        st.done = Some(true);
-                        return Ok(());
-                    }
-                }
-            }
-            conv.abandon(link);
-            st.done = Some(false);
-            return Ok(());
-        }
-        let obs = engine.step()?;
-        link.fan_out(engine.outgoing(), conv.death_rule())?;
-        let local = vote.vote(&obs);
-        match conv.submit(obs.iteration, local, link)? {
-            Flow::Continue => {}
-            Flow::Converged => {
-                st.done = Some(true);
-                return Ok(());
-            }
-            Flow::Halted | Flow::Reshape(_) => {
-                st.done = Some(false);
-                return Ok(());
-            }
-        }
-        st.iteration = obs.iteration;
-        st.pending = vec![true; link.senders_to_me().len()];
-        st.waiting = true;
-        // Replay slices a fast peer delivered early for this iteration.
-        let deferred = std::mem::take(&mut st.deferred);
-        for msg in deferred {
-            if let Some((from, iter)) = data_meta(&msg) {
-                if iter > st.iteration {
-                    st.deferred.push(msg);
-                    continue;
-                }
-                mark_slice(
-                    link.senders_to_me(),
-                    &mut st.pending,
-                    from,
-                    iter,
-                    st.iteration,
-                );
-                engine.ingest(msg);
-            }
-        }
-    }
-    // The barrier wait, resumable: drain until released or the inbox is dry.
-    loop {
-        let waiting_conv = conv.waiting(st.iteration);
-        let waiting_slices = st.pending.iter().any(|&p| p) && !conv.skip_pending_data();
-        if !waiting_conv && !waiting_slices {
-            match conv.resolve(st.iteration, link)? {
-                Flow::Continue => st.waiting = false,
-                Flow::Converged => st.done = Some(true),
-                Flow::Halted | Flow::Reshape(_) => st.done = Some(false),
-            }
-            return Ok(());
-        }
-        let Some(msg) = link.try_recv().map_err(CoreError::Comm)? else {
-            // Nothing queued: yield to the other ranks.
-            return Ok(());
-        };
-        match data_meta(&msg) {
-            Some((from, iter)) => {
-                if iter > st.iteration {
-                    st.deferred.push(msg);
-                } else {
-                    mark_slice(
-                        link.senders_to_me(),
-                        &mut st.pending,
-                        from,
-                        iter,
-                        st.iteration,
-                    );
-                    engine.ingest(msg);
-                }
-            }
-            None => match msg {
-                Message::Heartbeat { .. } => {}
-                Message::SpeedReport {
-                    from, step_micros, ..
-                } => link.note_speed(from, step_micros),
-                Message::Reshape { .. } => {
-                    st.done = Some(false);
-                    return Ok(());
-                }
-                msg => match conv.observe(&msg, link)? {
-                    Flow::Continue => {}
-                    Flow::Converged => {
-                        st.done = Some(true);
-                        return Ok(());
-                    }
-                    Flow::Halted | Flow::Reshape(_) => {
-                        st.done = Some(false);
-                        return Ok(());
-                    }
-                },
-            },
-        }
-    }
-}
-
-/// One cooperative visit of a free-running rank: drain the inbox, then one
-/// engine step (mirrors [`FreeRunning`](crate::runtime::FreeRunning) without
-/// the idle backoff and heartbeat machinery — no clock in the simulator).
-fn visit_free_running(
-    engine: &mut RankEngine,
-    link: &mut RankLink,
-    vote: &mut dyn LocalVote,
-    conv: &mut dyn ConvergencePolicy,
-    st: &mut RankState,
-    max_iterations: u64,
-) -> Result<(), CoreError> {
-    if st.done.is_some() {
-        return Ok(());
-    }
-    while let Some(msg) = link.try_recv().map_err(CoreError::Comm)? {
-        if data_meta(&msg).is_some() {
-            engine.ingest(msg);
-            continue;
-        }
-        match msg {
-            Message::Heartbeat { .. } => {}
-            Message::SpeedReport {
-                from, step_micros, ..
-            } => link.note_speed(from, step_micros),
-            Message::Reshape { .. } => {
-                st.done = Some(false);
-                return Ok(());
-            }
-            msg => match conv.observe(&msg, link)? {
-                Flow::Continue => {}
-                Flow::Converged => {
-                    st.done = Some(true);
-                    return Ok(());
-                }
-                Flow::Halted => {
-                    // Halt racing a convergence broadcast: a queued
-                    // `GlobalConverged` wins (the grace drain of the real
-                    // free-running loop, here over the remaining queue).
-                    let mut converged = false;
-                    while let Some(m) = link.try_recv().map_err(CoreError::Comm)? {
-                        if matches!(m, Message::GlobalConverged { .. }) {
-                            converged = true;
-                            break;
-                        }
-                    }
-                    st.done = Some(converged);
-                    return Ok(());
-                }
-                Flow::Reshape(_) => {
-                    st.done = Some(false);
-                    return Ok(());
-                }
-            },
-        }
-    }
-    if engine.iterations() >= max_iterations {
-        conv.abandon(link);
-        st.done = Some(false);
-        return Ok(());
-    }
-    let obs = engine.step()?;
-    link.fan_out(engine.outgoing(), conv.death_rule())?;
-    let local = vote.vote(&obs);
-    st.iteration = obs.iteration;
-    match conv.submit(obs.iteration, local, link)? {
-        Flow::Continue => {}
-        Flow::Converged => st.done = Some(true),
-        Flow::Halted | Flow::Reshape(_) => st.done = Some(false),
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
 // Entry point
 // ---------------------------------------------------------------------------
 
@@ -638,70 +373,61 @@ pub fn simulate_ranks(config: &ScaleConfig) -> Result<ScaleReport, CoreError> {
     let mut links: Vec<RankLink> = (0..world)
         .map(|r| RankLink::new(&transport, r, &send_targets[r], &senders[r]))
         .collect();
-    // No clocks tick in the simulator, so the failure policy must not rely
-    // on heartbeat probing; sends never fail over `SimTransport` anyway.
-    let failure = FailurePolicy::FailFast;
-    let mut votes: Vec<Box<dyn LocalVote>> = (0..world)
-        .map(|_| -> Box<dyn LocalVote> {
-            if config.protocol.is_lockstep() {
-                Box::new(StaleSweepGuard::new(
-                    IncrementVote::lockstep(config.tolerance),
-                    config.tolerance,
-                ))
-            } else {
-                Box::new(IncrementVote::free_running(config.tolerance))
-            }
+    // Sends never fail over `SimTransport`, so heartbeat probes would only
+    // add control traffic to the counters.
+    let mut stacks: Vec<_> = (0..world)
+        .map(|r| {
+            config.protocol.stack(
+                r,
+                world,
+                config.tolerance,
+                THREADED_PEER_TIMEOUT,
+                FailurePolicy::FailFast,
+            )
         })
         .collect();
-    let mut convs: Vec<Box<dyn ConvergencePolicy>> = (0..world)
-        .map(|r| -> Box<dyn ConvergencePolicy> {
-            match config.protocol {
-                Protocol::Lockstep => Box::new(LockstepVotes::new(r, world, failure)),
-                Protocol::Tree { arity } => Box::new(TreeVotes::new(r, world, arity, failure)),
-                Protocol::Waves { confirmations } => {
-                    Box::new(ConfirmationWaves::new(r, world, confirmations))
-                }
-                Protocol::Decentralized { stability_period } => {
-                    Box::new(DecentralizedWaves::new(r, world, stability_period))
-                }
-            }
+    let mut hooks: Vec<DriveHooks> = (0..world).map(|_| DriveHooks::default()).collect();
+    let mut loops: Vec<RankLoop> = engines
+        .iter_mut()
+        .zip(links.iter_mut())
+        .zip(stacks.iter_mut())
+        .zip(hooks.iter_mut())
+        .map(|(((engine, link), (vote, conv, progress)), hooks)| {
+            RankLoop::new(
+                engine,
+                link,
+                vote.as_mut(),
+                conv.as_mut(),
+                *progress,
+                config.max_iterations,
+                hooks,
+            )
         })
         .collect();
-    let mut states: Vec<RankState> = (0..world).map(|_| RankState::new()).collect();
+    let mut done: Vec<Option<bool>> = vec![None; world];
 
     let mut rng = Xorshift64::new(config.seed);
     let mut order: Vec<usize> = (0..world).collect();
     let mut sweeps = 0u64;
-    // Generous runaway backstop: a healthy rank makes progress every sweep,
-    // so a run that is going to converge does so in far fewer sweeps.
+    let mut now = Duration::ZERO;
+    // Generous runaway backstop: a healthy rank makes progress every few
+    // sweeps, so a run that is going to converge does so in far fewer.
     let sweep_cap = config.max_iterations.saturating_mul(64).max(10_000);
-    while states.iter().any(|s| s.done.is_none()) && sweeps < sweep_cap {
+    while done.contains(&None) && sweeps < sweep_cap {
         sweeps += 1;
         rng.shuffle(&mut order);
         for &r in &order {
-            if config.protocol.is_lockstep() {
-                visit_lockstep(
-                    &mut engines[r],
-                    &mut links[r],
-                    votes[r].as_mut(),
-                    convs[r].as_mut(),
-                    &mut states[r],
-                    config.max_iterations,
-                )?;
-            } else {
-                visit_free_running(
-                    &mut engines[r],
-                    &mut links[r],
-                    votes[r].as_mut(),
-                    convs[r].as_mut(),
-                    &mut states[r],
-                    config.max_iterations,
-                )?;
+            if done[r].is_none() {
+                if let Polled::Ready(run) = loops[r].poll(now)? {
+                    done[r] = Some(run.converged);
+                }
             }
         }
+        now += SWEEP_TICK;
     }
+    drop(loops);
 
-    let converged = states.iter().all(|s| s.done == Some(true));
+    let converged = done.iter().all(|d| *d == Some(true));
     let iterations_per_rank: Vec<u64> = engines.iter().map(|e| e.iterations()).collect();
     let iterations = iterations_per_rank.iter().copied().max().unwrap_or(0);
     let locals: Vec<Vec<f64>> = engines.iter().map(|e| e.x_local().to_vec()).collect();

@@ -4,14 +4,20 @@
 //! satisfied — even when summaries are partially delivered.
 //!
 //! The bitwise tests drive the in-process scale simulator
-//! (`msplit_core::scale::simulate_ranks`), which runs the production
-//! `RankEngine` + policy objects cooperatively under a seeded random sweep
-//! schedule; the no-false-positive tests drive the `DecentralizedWaves`
-//! policy object directly, playing the role of a lossy network.
+//! (`msplit_core::scale::simulate_ranks`), which polls the production rank
+//! loop of every rank under a seeded random sweep schedule; the
+//! no-false-positive tests drive the `DecentralizedWaves` policy object
+//! directly, playing the role of a lossy network.  The simulator is pinned
+//! twice: bitwise against the threaded lockstep driver on the same system,
+//! and against itself (a run is a pure function of its configuration).
 
 use multisplitting::comm::{InProcTransport, Message, Transport};
-use multisplitting::core::runtime::{ConvergencePolicy, DecentralizedWaves, Flow, RankLink};
+use multisplitting::core::runtime::{
+    solve_threaded_inproc, ConvergencePolicy, DecentralizedWaves, Flow, RankLink,
+};
 use multisplitting::core::scale::{simulate_ranks, Protocol, ScaleConfig};
+use multisplitting::core::{Decomposition, MultisplittingConfig};
+use multisplitting::sparse::generators;
 use proptest::prelude::*;
 
 /// Runs one simulated solve and returns (x, iterations, converged).
@@ -76,6 +82,87 @@ fn deep_trees_stay_bitwise_identical_at_128_ranks() {
             "arity {arity} changed the iteration count"
         );
         assert_eq!(x_flat, x_tree, "arity {arity} changed the iterates");
+    }
+}
+
+/// The threaded lockstep driver on the simulator's model problem: the
+/// tridiagonal system of order `ranks * rows_per_rank` with solution
+/// `x[i] = i % 7`, one band per rank, at the simulator's default tolerance
+/// and budget.
+fn threaded_lockstep(ranks: usize, rows_per_rank: usize) -> (Vec<f64>, u64) {
+    let defaults = ScaleConfig::default();
+    let a = generators::tridiagonal(ranks * rows_per_rank, 4.0, -1.0);
+    let (_, b) = generators::rhs_for_solution(&a, |i| (i % 7) as f64);
+    let config = MultisplittingConfig {
+        parts: ranks,
+        tolerance: defaults.tolerance,
+        max_iterations: defaults.max_iterations,
+        ..Default::default()
+    };
+    let d = Decomposition::uniform(&a, &b, ranks, 0).expect("decomposition");
+    let out = solve_threaded_inproc(d, &config).expect("threaded solve");
+    assert!(out.converged);
+    (out.x, out.iterations)
+}
+
+/// The simulator runs the drive loop of the threaded driver, so its lockstep
+/// iterates are the threaded driver's, bit for bit, at every world size.
+#[test]
+fn simulated_lockstep_equals_the_threaded_driver_bitwise() {
+    let rows_per_rank = ScaleConfig::default().rows_per_rank;
+    for ranks in [8usize, 64] {
+        let (x_sim, it_sim, ok_sim) = run(ranks, rows_per_rank, Protocol::Lockstep, 3);
+        assert!(ok_sim, "simulated lockstep failed to converge at P={ranks}");
+        let (x_threaded, it_threaded) = threaded_lockstep(ranks, rows_per_rank);
+        assert_eq!(it_sim, it_threaded, "iteration count differs at P={ranks}");
+        assert_eq!(x_sim, x_threaded, "iterates differ at P={ranks}");
+    }
+}
+
+/// A simulation is a pure function of its configuration: two runs agree
+/// bitwise in the solution, the iteration counts and every message counter,
+/// under each of the four protocols (the free-running ones included, whose
+/// idle backoff runs on the simulator's virtual clock).
+#[test]
+fn simulations_are_reproducible_under_every_protocol() {
+    for protocol in [
+        Protocol::Lockstep,
+        Protocol::Tree { arity: 4 },
+        Protocol::Waves { confirmations: 3 },
+        Protocol::Decentralized {
+            stability_period: 3,
+        },
+    ] {
+        let config = ScaleConfig {
+            ranks: 48,
+            protocol,
+            seed: 29,
+            ..Default::default()
+        };
+        let a = simulate_ranks(&config).expect("first run");
+        let b = simulate_ranks(&config).expect("second run");
+        let label = protocol.label();
+        assert!(a.converged, "{label} failed to converge");
+        assert_eq!(a.x, b.x, "{label}: solutions differ");
+        assert_eq!(a.iterations_per_rank, b.iterations_per_rank, "{label}");
+        assert_eq!(a.sweeps, b.sweeps, "{label}: sweeps differ");
+        assert_eq!(
+            (
+                a.coordinator_inbox_peak,
+                a.coordinator_control_in,
+                a.coordinator_control_out,
+                a.control_messages_total,
+                a.data_messages_total,
+            ),
+            (
+                b.coordinator_inbox_peak,
+                b.coordinator_control_in,
+                b.coordinator_control_out,
+                b.control_messages_total,
+                b.data_messages_total,
+            ),
+            "{label}: message counters differ"
+        );
     }
 }
 
